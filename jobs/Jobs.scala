@@ -17,7 +17,10 @@ object Jobs {
       .appName(name)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      // see SparkSpec: keeps size-only estimation bounded over iterative plans
+      // Leaf relations created from RDDs (LogicalRDD) have no statistics
+      // and default to Long.MaxValue; the construction pipelines join
+      // such frames repeatedly and the size-only estimator multiplies
+      // child sizes, so a modest default keeps planner arithmetic cheap.
       .config("spark.sql.defaultSizeInBytes", (8L * 1024 * 1024).toString)
       .getOrCreate()
 

@@ -151,25 +151,22 @@ object Fusion {
     */
   def truthDiscovery(kg: DataFrame, iterations: Int = 2,
                      multiValued: Set[String] = Set(Ontology.AliasPred, Ontology.SameAs)): DataFrame = {
-    val spark = kg.sparkSession
     val td = kg.filter(!col(Schema.Predicate).isin(multiValued.toSeq: _*))
     val keep = kg.filter(col(Schema.Predicate).isin(multiValued.toSeq: _*))
 
     // Initial reliability: the mean declared trust of each source.
-    var reliability: Map[String, Double] = td
+    val declared: Map[String, Double] = td
       .select(explode(arrays_zip(col(Schema.Sources), col(Schema.Trust))).as("st"))
       .groupBy(col("st.sources").as("src")).agg(avg("st.trust").as("r"))
       .collect().map(r => r.getString(0) -> r.getDouble(1)).toMap
 
     val slot = Seq(Schema.Subject, Schema.Predicate, Schema.RId, Schema.RPredicate, Schema.Locale)
-    var cur = td
-    for (_ <- 0 until math.max(1, iterations)) {
-      val rel = reliability
+    def score(rel: Map[String, Double]): DataFrame = {
       val wUdf = udf((srcs: Seq[String]) => srcs.map(rel.getOrElse(_, 0.5)).sum)
       val noisyOr = udf((srcs: Seq[String], ts: Seq[Double]) =>
         1.0 - srcs.zip(ts).map { case (s, t) => 1.0 - t * rel.getOrElse(s, 0.5) }.product)
       val win = Window.partitionBy(slot.map(col): _*)
-      val scoredNow = td
+      td
         .withColumn("__w", wUdf(col(Schema.Sources)))
         .withColumn("__total", sum("__w").over(win))
         .withColumn("__nvals", size(collect_set(col(Schema.Obj)).over(win)))
@@ -177,12 +174,17 @@ object Fusion {
           round(when(col("__nvals") > 1, col("__w") / col("__total"))
             .otherwise(noisyOr(col(Schema.Sources), col(Schema.Trust))), 6))
         .drop("__w", "__total", "__nvals")
-      cur = scoredNow
-      reliability = scoredNow
-        .select(col(Schema.Conf), explode(col(Schema.Sources)).as("src"))
-        .groupBy("src").agg(avg(Schema.Conf).as("r"))
-        .collect().map(r => r.getString(0) -> r.getDouble(1)).toMap
     }
-    Schema.canonicalize(cur.unionByName(keep))
+    // Source reliability: the mean confidence of the facts a source supports.
+    def reliability(scored: DataFrame): Map[String, Double] = scored
+      .select(col(Schema.Conf), explode(col(Schema.Sources)).as("src"))
+      .groupBy("src").agg(avg(Schema.Conf).as("r"))
+      .collect().map(r => r.getString(0) -> r.getDouble(1)).toMap
+
+    // Reliability is re-estimated only between rounds: the last round's
+    // would have no reader.
+    val scored = (1 until math.max(1, iterations))
+      .foldLeft(score(declared))((cur, _) => score(reliability(cur)))
+    Schema.canonicalize(scored.unionByName(keep))
   }
 }

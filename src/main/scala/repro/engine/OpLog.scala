@@ -81,21 +81,16 @@ object OpLog {
       * progresses independently from its own recorded LSN, so a slow or
       * newly-added store catches up without disturbing the others.
       */
-    def drain(): Unit =
-      agents.foreach { a =>
-        log.readFrom(meta.lsnOf(a.storeName)).foreach { op =>
-          a.replay(op)
-          meta.replayedUpTo(a.storeName, op.lsn)
-        }
-      }
+    def drain(): Unit = agents.foreach(catchUp)
 
     /** Drain only the named store (e.g. prototyping a new engine). */
-    def drain(store: String): Unit =
-      agents.filter(_.storeName == store).foreach { a =>
-        log.readFrom(meta.lsnOf(a.storeName)).foreach { op =>
-          a.replay(op)
-          meta.replayedUpTo(a.storeName, op.lsn)
-        }
+    def drain(store: String): Unit = agents.filter(_.storeName == store).foreach(catchUp)
+
+    /** Replay the operations after the agent's recorded LSN, in order. */
+    private def catchUp(a: OrchestrationAgent): Unit =
+      log.readFrom(meta.lsnOf(a.storeName)).foreach { op =>
+        a.replay(op)
+        meta.replayedUpTo(a.storeName, op.lsn)
       }
 
     def freshness: Long = meta.freshness(agents.map(_.storeName))

@@ -109,15 +109,15 @@ object Nerd {
     sigmoid(12.0 * (raw1 - penalty - 0.58))
   }
 
-  /** The serving-side NERD index: candidate retrieval + contextual
-    * disambiguation over the collected entity view.
+  /** Name-token retrieval shared by [[Index]] and [[PopularityBaseline]]:
+    * postings from name and alias tokens to entry indices, and the
+    * candidate order — most name tokens shared with the mention first,
+    * then importance, then id.
     */
-  final class Index(val entries: Seq[EntityEntry], encoder: LearnedEncoder) extends Serializable {
-
-    private val byIdx: Array[EntityEntry] = entries.toArray
+  private final class NameRetrieval(byIdx: Array[EntityEntry]) extends Serializable {
 
     /** token → entry indices (over names and aliases). */
-    private val tokenIndex: Map[String, Array[Int]] = {
+    val postings: Map[String, Array[Int]] = {
       val m = scala.collection.mutable.HashMap[String, List[Int]]()
       byIdx.zipWithIndex.foreach { case (e, i) =>
         e.names.flatMap(StringSim.tokens).distinct.foreach(t => m(t) = i :: m.getOrElse(t, Nil))
@@ -125,15 +125,41 @@ object Nerd {
       m.iterator.map { case (t, is) => t -> is.toArray }.toMap
     }
 
+    private val nameTokens: Array[Set[String]] =
+      byIdx.map(_.names.flatMap(StringSim.tokens).toSet)
+
+    /** Distinct entry indices posted under any of `tokens`. */
+    def hits(tokens: Seq[String]): Seq[Int] =
+      tokens.flatMap(t => postings.getOrElse(t, Array.empty[Int])).distinct
+
+    /** The best `k` of `hits` for `mention`, best first. */
+    def top(mention: String, hits: Seq[Int], k: Int): Seq[EntityEntry] = {
+      val mentionToks = StringSim.tokens(mention).toSet
+      hits
+        .sortBy(i => (-mentionToks.intersect(nameTokens(i)).size,
+                      -byIdx(i).importance, byIdx(i).id))
+        .take(k)
+        .map(byIdx)
+    }
+  }
+
+  /** The serving-side NERD index: candidate retrieval + contextual
+    * disambiguation over the collected entity view.
+    */
+  final class Index(val entries: Seq[EntityEntry], encoder: LearnedEncoder) extends Serializable {
+
+    private val byIdx: Array[EntityEntry] = entries.toArray
+    private val nameIndex = new NameRetrieval(byIdx)
+
     /** Distinct indexed tokens with their learned vectors — vocabulary-
       * level nearest neighbours let nickname tokens ("bob") retrieve
       * postings of their synonym ("robert") without scanning entities.
       */
     private val vocab: Array[(String, Array[Double])] =
-      tokenIndex.keys.toArray.sorted.map(t => t -> encoder.encodeString(t))
+      nameIndex.postings.keys.toArray.sorted.map(t => t -> encoder.encodeString(t))
 
     private def expandToken(t: String): Seq[String] =
-      if (tokenIndex.contains(t)) Seq(t)
+      if (nameIndex.postings.contains(t)) Seq(t)
       else {
         val q = encoder.encodeString(t)
         vocab.iterator
@@ -152,9 +178,6 @@ object Nerd {
     private val profiles: Array[Set[String]] = byIdx.map(profileTokens)
     private val idToIdx: Map[String, Int] = byIdx.zipWithIndex.map { case (e, i) => e.id -> i }.toMap
 
-    private val nameTokens: Array[Set[String]] =
-      byIdx.map(_.names.flatMap(StringSim.tokens).toSet)
-
     /** Candidate retrieval (§5.2): token-posting union with vocabulary
       * expansion and an optional admissible-type filter. Truncation to k
       * ranks by token-overlap first (string evidence) and importance
@@ -162,18 +185,12 @@ object Nerd {
       * importance alone would evict exact matches of tail entities.
       */
     def candidates(mention: String, k: Int = 10, typeHint: Option[String] = None): Seq[EntityEntry] = {
-      val toks = StringSim.tokens(mention).flatMap(expandToken).distinct
-      val hit = toks.flatMap(t => tokenIndex.getOrElse(t, Array.empty[Int])).distinct
+      val hit = nameIndex.hits(StringSim.tokens(mention).flatMap(expandToken).distinct)
       val typed = typeHint match {
         case Some(th) => hit.filter(i => byIdx(i).types.contains(th))
         case None     => hit
       }
-      val mentionToks = StringSim.tokens(mention).toSet
-      typed
-        .sortBy(i => (-mentionToks.intersect(nameTokens(i)).size,
-                      -byIdx(i).importance, byIdx(i).id))
-        .take(k)
-        .map(byIdx)
+      nameIndex.top(mention, typed, k)
     }
 
     private def nameSim(mention: String, e: EntityEntry): Double =
@@ -221,15 +238,7 @@ object Nerd {
     */
   final class PopularityBaseline(entries: Seq[EntityEntry]) extends Serializable {
     private val byIdx = entries.toArray
-    private val tokenIndex: Map[String, Array[Int]] = {
-      val m = scala.collection.mutable.HashMap[String, List[Int]]()
-      byIdx.zipWithIndex.foreach { case (e, i) =>
-        e.names.flatMap(StringSim.tokens).distinct.foreach(t => m(t) = i :: m.getOrElse(t, Nil))
-      }
-      m.iterator.map { case (t, is) => t -> is.toArray }.toMap
-    }
-    private val nameTokens: Array[Set[String]] =
-      byIdx.map(_.names.flatMap(StringSim.tokens).toSet)
+    private val nameIndex = new NameRetrieval(byIdx)
     private val maxImp = math.max(1e-9, byIdx.map(_.importance).maxOption.getOrElse(0.0))
 
     def disambiguate(mention: String, k: Int = 10): Option[Prediction] = {
@@ -237,12 +246,7 @@ object Nerd {
       // overlap), only *ranking among retrieved candidates* leans on
       // popularity/string similarity. What it lacks vs NERD is the
       // relational context of the KG and the learned synonym space.
-      val mentionToks = StringSim.tokens(mention).toSet
-      val hits = StringSim.tokens(mention)
-        .flatMap(t => tokenIndex.getOrElse(t, Array.empty[Int])).distinct
-        .sortBy(i => (-mentionToks.intersect(nameTokens(i)).size,
-                      -byIdx(i).importance, byIdx(i).id))
-        .take(k).map(byIdx)
+      val hits = nameIndex.top(mention, nameIndex.hits(StringSim.tokens(mention)), k)
       if (hits.isEmpty) return None
       val scored = hits.map { e =>
         val ns = if (e.names.isEmpty) 0.0 else e.names.map(StringSim.editSim(mention, _)).max

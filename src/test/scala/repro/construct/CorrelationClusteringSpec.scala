@@ -67,29 +67,40 @@ class CorrelationClusteringSpec extends SparkSpec {
     assert(cost(edges, apart) == 1) // positive cut
   }
 
-  // ---------------------------------------------------------- distributed
+  // ------------------------------------------------------- DataFrame entry
   import spark.implicits._
 
-  test("connectedComponents groups a chain into one component") {
-    val nodes = Seq("a", "b", "c", "d").toDF("id")
-    val pos = Seq(("a", "b"), ("b", "c"), ("c", "d")).toDF("a", "b")
-    val comps = connectedComponents(nodes, pos)
-    assert(comps.select("comp").distinct().count() == 1)
-  }
+  test("pivot clustering is invariant under partitioning by +component (property)") {
+    val graphGen = for {
+      n <- Gen.choose(1, 16)
+      density <- Gen.choose(0.05, 0.5)
+      seed <- Gen.long
+    } yield (n, density, seed)
+    Props.check(Prop.forAll(graphGen) { case (n, density, seed) =>
+      val nodes = (0 until n).map(i => s"v$i")
+      val rnd = new scala.util.Random(seed)
+      // Some pairs carry both signs, so the −veto on +neighbours is exercised.
+      val edges = for {
+        i <- 0 until n; j <- (i + 1) until n
+        sign <- Seq(1, -1) if rnd.nextDouble() < (if (sign > 0) density else density / 2)
+      } yield Edge(s"v$i", s"v$j", sign, rnd.nextDouble())
 
-  test("connectedComponents keeps disconnected nodes separate") {
-    val nodes = Seq("a", "b", "c").toDF("id")
-    val pos = Seq(("a", "b")).toDF("a", "b")
-    val comps = connectedComponents(nodes, pos).collect().map(r => r.getString(0) -> r.getString(1)).toMap
-    assert(comps("a") == comps("b"))
-    assert(comps("c") != comps("a"))
-  }
+      // +components by union-find
+      val parent = scala.collection.mutable.HashMap(nodes.map(v => v -> v): _*)
+      def find(v: String): String = if (parent(v) == v) v else { val r = find(parent(v)); parent(v) = r; r }
+      edges.filter(_.sign > 0).foreach(e => parent(find(e.a)) = find(e.b))
+      val comps = nodes.groupBy(find).values
 
-  test("connectedComponents with no edges yields identity labels") {
-    val nodes = Seq("x", "y").toDF("id")
-    val pos = Seq.empty[(String, String)].toDF("a", "b")
-    val comps = connectedComponents(nodes, pos).collect().map(r => r.getString(0) -> r.getString(1)).toMap
-    assert(comps == Map("x" -> "x", "y" -> "y"))
+      val perComponent = comps.map { ns =>
+        val members = ns.toSet
+        clusterLocal(ns, edges.filter(e => members(e.a) && members(e.b)), seed)
+      }.reduce(_ ++ _)
+      val whole = clusterLocal(nodes, edges, seed)
+      val viaFrames = cluster(nodes.toDF("id"),
+          edges.map(e => (e.a, e.b, e.sign, e.score)).toDF("a", "b", "sign", "score"), seed)
+        .collect().map(r => r.getString(0) -> r.getString(1)).toMap
+      perComponent == whole && viaFrames == whole
+    }, minTests = 40)
   }
 
   test("distributed cluster matches expected merge structure") {
