@@ -67,8 +67,7 @@ object Construction {
   def consume(state: KGState, payload: SourcePayload,
               model: Matching.Model,
               obr: DataFrame => DataFrame = identity,
-              runTruthDiscovery: Boolean = true,
-              posThr: Double = 0.85, negThr: Double = 0.25): (KGState, Stats) = {
+              runTruthDiscovery: Boolean = true): (KGState, Stats) = {
     val spark = state.stable.sparkSession
     import spark.implicits._
 
@@ -81,7 +80,7 @@ object Construction {
       if (addTypes.isEmpty) (Schema.emptyTriples(spark), Seq.empty[(String, String)].toDF("srcId", "kgId"), Schema.emptyTriples(spark))
       else {
         val kgView = Linking.kgViewForTypes(state.stable, addTypes)
-        val res = Linking.run(payload.added, kgView, model, posThr, negThr)
+        val res = Linking.run(payload.added, kgView, model)
         (obr(Linking.rewriteSubjects(payload.added, res.links)), res.links, res.sameAs)
       }
 
@@ -90,33 +89,36 @@ object Construction {
     // blocking/matching. Entities with no prior link (out-of-order feeds)
     // are routed through the Added path on the next batch; here they are
     // dropped from the update set to keep the lookup contract explicit.
-    val updSubjects = payload.updated.select(col(Schema.Subject).as("srcId")).distinct()
-    val updLinks = updSubjects.join(state.links, Seq("srcId"))
-    val updPayload = obr(Linking.rewriteSubjects(payload.updated, updLinks))
-    val updKgSubjects = updLinks.select(col("kgId").as("subject")).distinct()
+    // The lookups are bounded by the delta, so they are collected once and
+    // feed both the plans below and `Stats`.
+    def lookup(triples: DataFrame): Seq[(String, String)] =
+      triples.select(col(Schema.Subject).as("srcId")).distinct()
+        .join(state.links, Seq("srcId")).as[(String, String)].collect().toSeq
+    val updLinks = lookup(payload.updated)
+    val updPayload = obr(Linking.rewriteSubjects(payload.updated, updLinks.toDF("srcId", "kgId")))
 
     // ---------------------------------------------------------- ToDelete
-    val delSubjects = payload.deleted.select(col(Schema.Subject).as("srcId")).distinct()
-    val delLinks = delSubjects.join(state.links, Seq("srcId"))
-    val delKgSubjects = delLinks.select(col("kgId").as("subject")).distinct()
+    val delLinks = lookup(payload.deleted)
+    val retractSubjects = (updLinks ++ delLinks).map(_._2).distinct
 
     // ------------------------------------------------- fusion sync point
     // Retract this source's prior contribution for updated+deleted
     // subjects, then fuse the new payloads and the same_as provenance.
-    // Materialize the three payload dataflows at the sync point so the
-    // fusion plan is shallow (deep composite plans degrade Catalyst's
-    // size-estimation into unbounded BigInteger arithmetic).
-    val addReady = Dataflow.pin(addPayload.unionByName(sameAs))
+    // Materialize the payload dataflows at the sync point so the fusion
+    // plan is shallow (deep composite plans degrade Catalyst's
+    // size-estimation into unbounded BigInteger arithmetic). `sameAs` is
+    // a projection of linking's local link table and needs no barrier.
+    val addReady = Dataflow.pin(addPayload)
     val updReady = Dataflow.pin(updPayload)
     val retracted = Dataflow.pin(Fusion.retractSource(
-      state.stable, payload.source, updKgSubjects.union(delKgSubjects)))
-    val fusedOnce = Dataflow.pin(Fusion.fuse(retracted, addReady))
+      state.stable, payload.source, retractSubjects.toDF("subject")))
+    val fusedOnce = Dataflow.pin(Fusion.fuse(retracted, addReady.unionByName(sameAs)))
     val fusedTwice = Fusion.fuse(fusedOnce, updReady)
     val newStable0 =
       if (runTruthDiscovery) Fusion.truthDiscovery(fusedTwice) else fusedTwice
 
     // ------------------------------------------------------ link table
-    val keptLinks = state.links.join(delSubjects, Seq("srcId"), "left_anti")
+    val keptLinks = state.links.join(delLinks.map(_._1).toDF("srcId"), Seq("srcId"), "left_anti")
     val allLinks = keptLinks.unionByName(newLinks).dropDuplicates("srcId")
 
     // -------------------------------------------------------- volatile
@@ -131,9 +133,9 @@ object Construction {
 
     val next = KGState(newStable0, newVolatile, allLinks).materialized
     val stats = Stats(payload.source,
-      linkedNew = newLinks.count(), reusedLinks = updLinks.count(),
-      retractedSubjects = updKgSubjects.union(delKgSubjects).distinct().count(),
-      fusedFacts = addPayload.count() + updPayload.count())
+      linkedNew = newLinks.count(), reusedLinks = updLinks.size,
+      retractedSubjects = retractSubjects.size,
+      fusedFacts = addReady.count() + updReady.count())
     (next, stats)
   }
 

@@ -1,6 +1,7 @@
 package repro.construct
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.unsafe.types.UTF8String
+import repro.core.Schema
 
 /** Resolution (§2.3 step 5): from calibrated pair probabilities, build a
   * linkage graph with +1 edges (high-confidence matches) and −1 edges
@@ -16,9 +17,9 @@ import org.apache.spark.sql.DataFrame
   * same assignment as one pass per component.
   *
   * That pass runs on the driver. Linking hands in only the *active*
-  * subgraph — the payload's records plus KG records sharing a block with
-  * them (DESIGN.md §4b) — so the graph is bounded by the payload and its
-  * block neighbours, never by |KG|.
+  * subgraph — the payload's records plus the KG records they share a
+  * decisive (±1) edge with (DESIGN.md §4b) — so the graph is bounded by
+  * the payload and its block neighbours, never by |KG|.
   */
 object CorrelationClustering {
 
@@ -47,16 +48,30 @@ object CorrelationClustering {
     assignment.toMap
   }
 
-  /** Resolution of the active linkage subgraph: nodes (id) + signed edges
-    * (a, b, sign, score) → (id, cluster). Every edge endpoint must be a
-    * node.
+  /** Spark's string order (unsigned UTF-8 bytes), which `min` over a
+    * string column uses. `String.compareTo` compares UTF-16 units and
+    * differs from it outside the BMP.
     */
-  def cluster(nodes: DataFrame, edges: DataFrame, seed: Long = 42): DataFrame = {
-    val spark = nodes.sparkSession
-    import spark.implicits._
-    val ids = nodes.select("id").as[String].collect().toSeq
-    val es = edges.select("a", "b", "sign", "score").as[Edge].collect().toSeq
-    clusterLocal(ids, es, seed).toSeq.toDF("id", "cluster")
+  private val sparkOrder: Ordering[String] =
+    (x, y) => UTF8String.fromString(x).binaryCompare(UTF8String.fromString(y))
+
+  /** Resolve the linkage graph of one payload: `sources` are the source
+    * record ids, every other edge endpoint is a KG record. Each cluster
+    * keeps its min KG member, or mints a new id from its min member when
+    * it has none. Returns (srcId, kgId) for every source id.
+    *
+    * KG records without a decisive edge are not nodes: a node with no
+    * edge is always a singleton, so leaving it out moves no source
+    * record to another cluster.
+    */
+  def resolve(sources: Seq[String], edges: Seq[Edge], seed: Long): Seq[(String, String)] = {
+    val isSource = sources.toSet
+    val clusterOf = clusterLocal((sources ++ edges.flatMap(e => Seq(e.a, e.b))).distinct, edges, seed)
+    val kgIdOf = clusterOf.toSeq.groupMap(_._2)(_._1).view.mapValues { members =>
+      val kg = members.filterNot(isSource)
+      if (kg.nonEmpty) kg.min(sparkOrder) else Schema.mintKgId(members.min(sparkOrder))
+    }.toMap
+    sources.map(s => s -> kgIdOf(clusterOf(s)))
   }
 
   /** Total disagreement cost of an assignment: +edges cut plus −edges kept

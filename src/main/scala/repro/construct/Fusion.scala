@@ -27,6 +27,17 @@ object Fusion {
 
   private val keyCols: Seq[String] = Schema.factKey
 
+  /** Predicates that legitimately hold several values per slot; truth
+    * discovery leaves their noisy-or confidence as is.
+    */
+  private val multiValued: Seq[String] = Seq(Ontology.AliasPred, Ontology.SameAs)
+
+  /** Noisy-or confidence of a provenance array of (sources, trust)
+    * structs, rounded to 6 digits.
+    */
+  private def noisyOr(provenance: String): Column =
+    expr(s"round(1.0 - aggregate($provenance, CAST(1.0 AS DOUBLE), (acc, x) -> acc * (1.0 - x.trust)), 6)")
+
   /** Merge duplicate fact rows (identical fact key) into one row whose
     * provenance is the union of contributors (max trust per source) and
     * whose confidence is the noisy-or of contributor trusts. Union + this
@@ -36,16 +47,16 @@ object Fusion {
     val exploded = triples
       .select(keyCols.map(col) :+
               explode(arrays_zip(col(Schema.Sources), col(Schema.Trust))).as("st"): _*)
-      .select(keyCols.map(col) :+ col("st.sources").as("src") :+ col("st.trust").as("t"): _*)
-    val bySrc = exploded.groupBy((keyCols :+ "src").map(col): _*).agg(max("t").as("t"))
+      .select(keyCols.map(col) :+ col("st.sources") :+ col("st.trust"): _*)
+    val bySrc = exploded.groupBy((keyCols :+ Schema.Sources).map(col): _*)
+      .agg(max(Schema.Trust).as(Schema.Trust))
     bySrc
       .groupBy(keyCols.map(col): _*)
-      .agg(sort_array(collect_list(struct(col("src"), col("t")))).as("st"))
+      .agg(sort_array(collect_list(struct(col(Schema.Sources), col(Schema.Trust)))).as("st"))
       .select(keyCols.map(col) :+
-              expr("st.src").as(Schema.Sources) :+
-              expr("st.t").as(Schema.Trust) :+
-              expr("round(1.0 - aggregate(st, CAST(1.0 AS DOUBLE), (acc, x) -> acc * (1.0 - x.t)), 6)")
-                .as(Schema.Conf): _*)
+              expr("st.sources").as(Schema.Sources) :+
+              expr("st.trust").as(Schema.Trust) :+
+              noisyOr("st").as(Schema.Conf): _*)
   }
 
   /** Deterministic relationship-node id for a source node that matched no
@@ -128,8 +139,7 @@ object Fusion {
         .filter(size(col("__kept")) > 0)
         .withColumn(Schema.Sources, expr("__kept.sources"))
         .withColumn(Schema.Trust, expr("__kept.trust"))
-        .withColumn(Schema.Conf,
-          expr(s"round(1.0 - aggregate(__kept, CAST(1.0 AS DOUBLE), (acc, x) -> acc * (1.0 - x.trust)), 6)"))
+        .withColumn(Schema.Conf, noisyOr("__kept"))
         .drop("__hit", "__kept"))
   }
 
@@ -149,10 +159,9 @@ object Fusion {
     * relationship slot, locale). Multi-valued predicates (alias, same_as)
     * keep their noisy-or confidence.
     */
-  def truthDiscovery(kg: DataFrame, iterations: Int = 2,
-                     multiValued: Set[String] = Set(Ontology.AliasPred, Ontology.SameAs)): DataFrame = {
-    val td = kg.filter(!col(Schema.Predicate).isin(multiValued.toSeq: _*))
-    val keep = kg.filter(col(Schema.Predicate).isin(multiValued.toSeq: _*))
+  def truthDiscovery(kg: DataFrame, iterations: Int = 2): DataFrame = {
+    val td = kg.filter(!col(Schema.Predicate).isin(multiValued: _*))
+    val keep = kg.filter(col(Schema.Predicate).isin(multiValued: _*))
 
     // Initial reliability: the mean declared trust of each source.
     val declared: Map[String, Double] = td

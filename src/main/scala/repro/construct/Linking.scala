@@ -67,17 +67,19 @@ object Linking {
       sameAs: DataFrame,
   )
 
+  /** Calibrated probability at or above which a pair is a high-confidence
+    * match (+1 edge), and at or below which it is a high-confidence
+    * non-match (−1 edge); the band in between adds no edge.
+    */
+  private val PosThr = 0.85
+  private val NegThr = 0.25
+  private val MaxBlockSize = 200
+  private val Seed = 42L
+
   /** Run linking of `sourceTriples` (source namespace) against
     * `kgViewTriples` (KG namespace).
-    *
-    * @param posThr  calibrated probability above which a pair is a
-    *                high-confidence match (+1 edge)
-    * @param negThr  probability below which it is a high-confidence
-    *                non-match (−1 edge); the band in between adds no edge
     */
-  def run(sourceTriples: DataFrame, kgViewTriples: DataFrame, model: Matching.Model,
-          posThr: Double = 0.85, negThr: Double = 0.25,
-          maxBlockSize: Int = 200, seed: Long = 42): LinkResult = {
+  def run(sourceTriples: DataFrame, kgViewTriples: DataFrame, model: Matching.Model): LinkResult = {
     val spark = sourceTriples.sparkSession
     import spark.implicits._
 
@@ -93,7 +95,7 @@ object Linking {
     // |delta|.
     val srcIds = allDf.filter(!col("isKg")).select(col("id"))
     val allPairs = Blocking.candidatePairs(
-      Blocking.blocks(allDf.select("id", "etype", "name", "aliases"), maxBlockSize))
+      Blocking.blocks(allDf.select("id", "etype", "name", "aliases"), MaxBlockSize))
     val pairs = allPairs
       .join(srcIds.withColumnRenamed("id", "id1"), Seq("id1"), "left_semi")
       .unionByName(allPairs.join(srcIds.withColumnRenamed("id", "id2"), Seq("id2"), "left_semi"))
@@ -112,37 +114,19 @@ object Linking {
       }
       .toDF("a", "b", "prob")
 
-    val edges = scored
-      .filter(col("prob") >= posThr || col("prob") <= negThr)
-      .select(col("a"), col("b"),
-              when(col("prob") >= posThr, 1).otherwise(-1).as("sign"),
-              col("prob").as("score"))
-
     // Resolution only needs the *active* subgraph: incoming source
-    // records plus KG records sharing a block with one of them. KG
+    // records plus the KG records they share a decisive edge with. KG
     // entities untouched by the payload cannot change cluster — skipping
     // them is what makes delta consumption cheap as the KG grows (§2.4).
-    val activeNodes = pairs.select(col("id1").as("id"))
-      .union(pairs.select(col("id2").as("id")))
-      .union(allDf.filter(!col("isKg")).select("id"))
-      .distinct()
-    val clusters = CorrelationClustering.cluster(activeNodes, edges, seed)
-
-    // Resolution: pick the KG entity of each cluster (min id if several
-    // slipped in), mint a new deterministic id otherwise.
-    val info = clusters.join(allDf.select(col("id"), col("isKg")), Seq("id"))
-    val clusterKg = info.filter(col("isKg"))
-      .groupBy("cluster").agg(min("id").as("kgOfCluster"))
-    val clusterNew = info.groupBy("cluster").agg(min("id").as("minId"))
-    val mint = udf((s: String) => Schema.mintKgId(s))
-    val resolved = clusterNew.join(clusterKg, Seq("cluster"), "left")
-      .select(col("cluster"),
-              coalesce(col("kgOfCluster"), mint(col("minId"))).as("kgId"))
-
-    val links = Dataflow.pin(
-      info.filter(!col("isKg"))
-        .join(resolved, Seq("cluster"))
-        .select(col("id").as("srcId"), col("kgId")))
+    // The pair plan runs once, for this collect; resolution is local.
+    val edges = scored
+      .filter(col("prob") >= PosThr || col("prob") <= NegThr)
+      .select(col("a"), col("b"),
+              when(col("prob") >= PosThr, 1).otherwise(-1).as("sign"),
+              col("prob").as("score"))
+      .as[CorrelationClustering.Edge].collect().toSeq
+    val links = CorrelationClustering.resolve(srcIds.as[String].collect().toSeq, edges, Seed)
+      .toDF("srcId", "kgId")
 
     val sameAs = links.select(
       col("kgId").as(Schema.Subject),

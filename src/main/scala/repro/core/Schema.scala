@@ -89,52 +89,9 @@ object Schema {
     df.select(columns.map(col): _*)
   }
 
-  /** Merge two provenance annotations: union of sources with their trust
-    * scores, keeping the max trust when the same source appears in both
-    * (a source re-asserting a fact cannot lower its prior trust).
-    */
-  def mergeProvenance(
-      aSources: Seq[String], aTrust: Seq[Double],
-      bSources: Seq[String], bTrust: Seq[Double],
-  ): (Seq[String], Seq[Double]) = {
-    val merged = scala.collection.mutable.LinkedHashMap[String, Double]()
-    aSources.zip(aTrust).foreach { case (s, t) => merged(s) = math.max(t, merged.getOrElse(s, 0.0)) }
-    bSources.zip(bTrust).foreach { case (s, t) => merged(s) = math.max(t, merged.getOrElse(s, 0.0)) }
-    (merged.keys.toSeq, merged.values.toSeq)
-  }
-
-  /** Spark UDF-free provenance merge, exposed as SQL expression pieces.
-    * Given paired `sources`/`trust` arrays from both sides of a join,
-    * produces merged arrays. Implemented via higher-order functions so it
-    * stays in Catalyst (no Scala UDF serialization).
-    */
-  def mergeProvenanceExprs(
-      aSources: String, aTrust: String, bSources: String, bTrust: String,
-  ): (org.apache.spark.sql.Column, org.apache.spark.sql.Column) = {
-    // sources: a ++ (b filterNot a.contains); trust follows the same layout.
-    val mergedSources = expr(
-      s"concat($aSources, filter($bSources, x -> NOT array_contains($aSources, x)))")
-    val mergedTrust = expr(
-      s"""concat(
-            transform($aSources, (x, i) ->
-              CASE WHEN array_contains($bSources, x)
-                   THEN greatest($aTrust[i], $bTrust[array_position($bSources, x) - 1])
-                   ELSE $aTrust[i] END),
-            filter(
-              transform($bSources, (x, i) ->
-                CASE WHEN array_contains($aSources, x) THEN CAST(NULL AS DOUBLE)
-                     ELSE $bTrust[i] END),
-              x -> x IS NOT NULL))""")
-    (mergedSources, mergedTrust)
-  }
-
   /** Key columns identifying a fact for fusion joins: a fact is the same
     * fact iff subject, predicate, relationship slot, object and locale all
     * agree (provenance/confidence are metadata, not identity).
     */
   val factKey: Seq[String] = Seq(Subject, Predicate, RId, RPredicate, Obj, Locale)
-
-  /** Null-safe fact-key join condition between two triples relations. */
-  def factKeyCondition(l: DataFrame, r: DataFrame): org.apache.spark.sql.Column =
-    factKey.map(c => l(c) <=> r(c)).reduce(_ && _)
 }

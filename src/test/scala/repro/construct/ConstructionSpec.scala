@@ -1,5 +1,6 @@
 package repro.construct
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, SynthKG}
 import repro.core.{Ontology, Schema}
@@ -127,10 +128,19 @@ class ConstructionSpec extends SparkSpec {
     val (state1, stats) = Construction.consumeAll(state0, deltas, model, runTruthDiscovery = false)
     // epoch 1 adds entities (entry ramp) — facts and entities must not shrink dramatically
     assert(state1.factCount() >= state0.factCount())
-    assert(stats.exists(s => s.linkedNew > 0 || s.reusedLinks > 0 || s.retractedSubjects >= 0))
-    // updated entities reuse links instead of relinking
-    val upd = stats.map(_.reusedLinks).sum
-    assert(upd >= 0)
+    // Updated entities reuse their links instead of relinking; updated and
+    // deleted ones retract their KG subjects. A source only looks up ids
+    // of its own namespace, which earlier consumes leave as in state0.
+    import spark.implicits._
+    def linkedSubjects(triples: DataFrame): Seq[String] =
+      triples.select(Schema.Subject).distinct().as[String].collect().toSeq.filter(linkPairs.contains)
+    deltas.zip(stats).foreach { case (d, st) =>
+      val upd = linkedSubjects(d.updated)
+      val retracted = (upd ++ linkedSubjects(d.deleted)).map(linkPairs).toSet
+      assert(st.reusedLinks == upd.size, st)
+      assert(st.retractedSubjects == retracted.size, st)
+    }
+    assert(stats.map(_.reusedLinks).sum > 0 && stats.map(_.retractedSubjects).sum > 0, stats)
   }
 
   test("deleted entities lose this source's provenance") {

@@ -1,7 +1,9 @@
 package repro.construct
 
+import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop}
 import repro.{Props, SparkSpec}
+import repro.core.Schema
 import CorrelationClustering._
 
 /** Resolution via correlation clustering (§2.3 step 5). */
@@ -67,9 +69,6 @@ class CorrelationClusteringSpec extends SparkSpec {
     assert(cost(edges, apart) == 1) // positive cut
   }
 
-  // ------------------------------------------------------- DataFrame entry
-  import spark.implicits._
-
   test("pivot clustering is invariant under partitioning by +component (property)") {
     val graphGen = for {
       n <- Gen.choose(1, 16)
@@ -95,52 +94,82 @@ class CorrelationClusteringSpec extends SparkSpec {
         val members = ns.toSet
         clusterLocal(ns, edges.filter(e => members(e.a) && members(e.b)), seed)
       }.reduce(_ ++ _)
-      val whole = clusterLocal(nodes, edges, seed)
-      val viaFrames = cluster(nodes.toDF("id"),
-          edges.map(e => (e.a, e.b, e.sign, e.score)).toDF("a", "b", "sign", "score"), seed)
-        .collect().map(r => r.getString(0) -> r.getString(1)).toMap
-      perComponent == whole && viaFrames == whole
+      perComponent == clusterLocal(nodes, edges, seed)
     }, minTests = 40)
   }
 
   test("distributed cluster matches expected merge structure") {
-    val nodes = Seq("s1", "s2", "k1", "z").toDF("id")
-    val edges = Seq(
-      ("s1", "s2", 1, 0.95), ("s1", "k1", 1, 0.92), ("s2", "k1", 1, 0.91),
-    ).toDF("a", "b", "sign", "score")
-    val asg = cluster(nodes, edges, seed = 3).collect()
-      .map(r => r.getString(0) -> r.getString(1)).toMap
+    val edges = Seq(Edge("s1", "s2", 1, 0.95), Edge("s1", "k1", 1, 0.92), Edge("s2", "k1", 1, 0.91))
+    val asg = clusterLocal(Seq("s1", "s2", "k1", "z"), edges, seed = 3)
     assert(asg("s1") == asg("s2") && asg("s2") == asg("k1"))
     assert(asg("z") != asg("s1"))
     assert(asg.keySet == Set("s1", "s2", "k1", "z"))
   }
 
   test("distributed cluster honours negative edges between pivot and neighbour") {
-    val nodes = Seq("a", "b").toDF("id")
     // the pair is simultaneously +linked and −linked; the − edge vetoes
     // absorption regardless of which endpoint pivots
-    val edges = Seq(
-      ("a", "b", 1, 0.9), ("a", "b", -1, 0.05),
-    ).toDF("a", "b", "sign", "score")
-    val asg = cluster(nodes, edges, seed = 11).collect()
-      .map(r => r.getString(0) -> r.getString(1)).toMap
+    val edges = Seq(Edge("a", "b", 1, 0.9), Edge("a", "b", -1, 0.05))
+    val asg = clusterLocal(Seq("a", "b"), edges, seed = 11)
     assert(asg("a") != asg("b"))
   }
 
   test("distributed triangle with one negative edge pays the minimum disagreement") {
-    val nodes = Seq("a", "b", "c").toDF("id")
-    val es = Seq(("a", "b", 1, 0.9), ("b", "c", 1, 0.9), ("a", "c", -1, 0.05))
-    val asg = cluster(nodes, es.toDF("a", "b", "sign", "score"), seed = 11).collect()
-      .map(r => r.getString(0) -> r.getString(1)).toMap
-    val edgeObjs = es.map { case (x, y, s, sc) => Edge(x, y, s, sc) }
+    val edgeObjs = Seq(Edge("a", "b", 1, 0.9), Edge("b", "c", 1, 0.9), Edge("a", "c", -1, 0.05))
+    val asg = clusterLocal(Seq("a", "b", "c"), edgeObjs, seed = 11)
     // any optimal assignment of this triangle has cost exactly 1
     assert(cost(edgeObjs, asg) == 1, asg.toString)
   }
 
   test("distributed cluster covers all nodes even isolated ones") {
-    val nodes = Seq("p", "q", "r").toDF("id")
-    val edges = Seq(("p", "q", 1, 0.9)).toDF("a", "b", "sign", "score")
-    val asg = cluster(nodes, edges, seed = 1).collect().map(_.getString(0)).toSet
+    val asg = clusterLocal(Seq("p", "q", "r"), Seq(Edge("p", "q", 1, 0.9)), seed = 1).keySet
     assert(asg == Set("p", "q", "r"))
+  }
+
+  // ------------------------------------------------------------ resolve
+  import spark.implicits._
+
+  /** Reference: the DataFrame resolution Linking used before `resolve`.
+    * Its nodes also held KG records with no decisive edge (`isolatedKg`);
+    * the min ids come from Spark's `min`.
+    */
+  private def resolveViaFrames(sources: Seq[String], edgeKg: Seq[String], isolatedKg: Seq[String],
+                               edges: Seq[Edge], seed: Long): Map[String, String] = {
+    val allDf = (sources.map(_ -> false) ++ (edgeKg ++ isolatedKg).map(_ -> true)).toDF("id", "isKg")
+    val clusters = clusterLocal(sources ++ edgeKg ++ isolatedKg, edges, seed).toSeq.toDF("id", "cluster")
+    val info = clusters.join(allDf, Seq("id"))
+    val clusterKg = info.filter(col("isKg"))
+      .groupBy("cluster").agg(min("id").as("kgOfCluster"))
+    val clusterNew = info.groupBy("cluster").agg(min("id").as("minId"))
+    val mint = udf((s: String) => Schema.mintKgId(s))
+    val resolved = clusterNew.join(clusterKg, Seq("cluster"), "left")
+      .select(col("cluster"), coalesce(col("kgOfCluster"), mint(col("minId"))).as("kgId"))
+    info.filter(!col("isKg")).join(resolved, Seq("cluster"))
+      .select(col("id"), col("kgId")).as[(String, String)].collect().toMap
+  }
+
+  test("resolve equals the DataFrame resolution, isolated KG records included (property)") {
+    // Id suffixes mix a BMP character above the surrogate range with one
+    // outside the BMP: UTF-16 and UTF-8 order them differently.
+    val suffix = Gen.listOfN(2, Gen.oneOf("a", "\uFF21", "\uD83D\uDE00")).map(_.mkString)
+    val graphGen = for {
+      src <- Gen.choose(1, 8).flatMap(Gen.listOfN(_, suffix))
+      kg <- Gen.choose(0, 6).flatMap(Gen.listOfN(_, suffix))
+      isolated <- Gen.choose(0, 4).flatMap(Gen.listOfN(_, suffix))
+      density <- Gen.choose(0.1, 0.7)
+      seed <- Gen.long
+    } yield (src.distinct.map("s:" + _), kg.distinct.map("kg:" + _),
+             isolated.distinct.map("kg:x" + _), density, seed)
+    Props.check(Prop.forAllNoShrink(graphGen) { case (sources, edgeKg, isolatedKg, density, seed) =>
+      val nodes = sources ++ edgeKg
+      val rnd = new scala.util.Random(seed)
+      val edges = for {
+        i <- nodes.indices; j <- (i + 1) until nodes.size
+        sign <- Seq(1, -1) if rnd.nextDouble() < (if (sign > 0) density else density / 3)
+      } yield Edge(nodes(i), nodes(j), sign, rnd.nextDouble())
+      val got = resolve(sources, edges, seed)
+      got.map(_._1) == sources &&
+        got.toMap == resolveViaFrames(sources, edgeKg, isolatedKg, edges, seed)
+    }, minTests = 40)
   }
 }

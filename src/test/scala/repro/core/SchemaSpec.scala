@@ -58,38 +58,4 @@ class SchemaSpec extends SparkSpec {
     assert(a.startsWith(Schema.KgNs))
     assert(a != Schema.mintKgId("seed-2"))
   }
-
-  test("mergeProvenance unions sources keeping max trust") {
-    val (s, t) = Schema.mergeProvenance(Seq("a", "b"), Seq(0.5, 0.9), Seq("b", "c"), Seq(0.7, 0.3))
-    assert(s == Seq("a", "b", "c"))
-    assert(t == Seq(0.5, 0.9, 0.3))
-  }
-
-  test("mergeProvenance of disjoint annotations concatenates") {
-    val (s, t) = Schema.mergeProvenance(Seq("a"), Seq(0.5), Seq("b"), Seq(0.6))
-    assert(s == Seq("a", "b") && t == Seq(0.5, 0.6))
-  }
-
-  test("mergeProvenance with empty side is identity") {
-    val (s, t) = Schema.mergeProvenance(Seq("a"), Seq(0.5), Seq.empty, Seq.empty)
-    assert(s == Seq("a") && t == Seq(0.5))
-  }
-
-  test("mergeProvenanceExprs matches the Scala implementation") {
-    import spark.implicits._
-    val df = Seq((Seq("a", "b"), Seq(0.5, 0.9), Seq("b", "c"), Seq(0.7, 0.3)))
-      .toDF("s1", "t1", "s2", "t2")
-    val (ms, mt) = Schema.mergeProvenanceExprs("s1", "t1", "s2", "t2")
-    val row = df.select(ms.as("s"), mt.as("t")).head()
-    assert(row.getSeq[String](0) == Seq("a", "b", "c"))
-    assert(row.getSeq[Double](1) == Seq(0.5, 0.9, 0.3))
-  }
-
-  test("factKeyCondition is null-safe on relationship columns") {
-    val l = sample().as("l")
-    val r = sample().as("r")
-    val joined = l.join(r, Schema.factKeyCondition(l, r))
-    // every fact matches exactly itself
-    assert(joined.count() == 4)
-  }
 }
