@@ -14,21 +14,23 @@ import repro.ml.Nerd
   */
 object ObjectResolutionStep {
 
+  /** Confidence below which the literal is kept: the paper fixes 0.9
+    * during construction because "accurate entity disambiguation is a
+    * requirement".
+    */
+  private val Threshold = 0.9
+
   /** Build the OBR rewrite function for [[Construction.consume]]'s `obr`
     * hook from a NERD index over the current KG.
-    *
-    * @param threshold confidence below which the literal is kept — the
-    *                  paper fixes 0.9 during construction because
-    *                  "accurate entity disambiguation is a requirement"
     */
-  def resolver(index: Nerd.Index, threshold: Double = 0.9): DataFrame => DataFrame = {
+  def resolver(index: Nerd.Index): DataFrame => DataFrame = {
     val refPreds = Ontology.entityRefPredicates
     val resolve = udf { (pred: String, rpred: String, obj: String) =>
       val key = if (rpred == null) pred else s"$pred.$rpred"
       refPreds.get(key) match {
         case Some(typeHint) if obj != null && !obj.startsWith(Schema.KgNs) =>
           index.disambiguate(obj, context = Seq.empty, typeHint = Some(typeHint)) match {
-            case Some(p) if p.confidence >= threshold => p.id
+            case Some(p) if p.confidence >= Threshold => p.id
             case _ => obj
           }
         case _ => obj

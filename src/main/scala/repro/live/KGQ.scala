@@ -62,7 +62,10 @@ object KGQ {
   def parse(text: String, ops: Map[String, VirtualOp] = Map.empty): Query = {
     var toks = tokenize(text)
     def peek: Option[String] = toks.headOption
-    def next(): String = { val h = toks.head; toks = toks.tail; h }
+    def next(): String = toks match {
+      case h :: t => toks = t; h
+      case Nil    => throw new ParseException("unexpected end of query")
+    }
     def expect(t: String): Unit = {
       val h = next()
       if (!h.equalsIgnoreCase(t)) throw new ParseException(s"expected $t, got $h")
@@ -109,7 +112,12 @@ object KGQ {
     val ret = scala.collection.mutable.ListBuffer[String](next())
     while (peek.contains(",")) { next(); ret += next() }
     var limit = 25
-    if (peek.exists(_.equalsIgnoreCase("LIMIT"))) { next(); limit = next().toInt }
+    if (peek.exists(_.equalsIgnoreCase("LIMIT"))) {
+      next()
+      val n = next()
+      limit = n.toIntOption.filter(_ >= 0)
+        .getOrElse(throw new ParseException(s"LIMIT needs a non-negative integer, got $n"))
+    }
     if (toks.nonEmpty) throw new ParseException(s"trailing tokens: $toks")
     Query(ty, conds.toSeq, ret.toSeq, limit)
   }
@@ -176,6 +184,7 @@ object KGQ {
       }
 
     def execute(q: Query): Seq[ResultRow] = {
+      // Rows come out in id order: both branches keep the candidates' order.
       val cands = candidates(q).toSeq.sorted
       val rows =
         if (cands.size > 256) {
@@ -186,7 +195,7 @@ object KGQ {
             .collect(java.util.stream.Collectors.toList[Option[ResultRow]])
             .asScala.flatten.toSeq
         } else cands.flatMap(verify(q))
-      rows.sortBy(_.id).take(q.limit)
+      rows.take(q.limit)
     }
   }
 }

@@ -1,7 +1,6 @@
 package repro.live
 
 import java.util.concurrent.ConcurrentLinkedQueue
-import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SynthKG
@@ -22,52 +21,46 @@ import Stores.{InvertedIndex, KVStore, Record}
   * the live indexes and simultaneously emitted as a correction stream
   * that stable construction consumes as a source.
   */
-final class LiveGraph(shards: Int = 16) {
-  val kv = new KVStore(shards)
-  val index = new InvertedIndex(shards)
+final class LiveGraph {
+  val kv = new KVStore
+  val index = new InvertedIndex
 
   /** Corrections emitted by curation, consumed by stable construction. */
   val correctionLog = new ConcurrentLinkedQueue[LiveGraph.Curation]()
 
-  def upsert(id: String, rec: Record): Unit = {
-    kv.put(id, rec)
-    index.remove(id)
-    index.indexRecord(id, rec)
-  }
+  /** The one writer of both stores: `kv.write` serializes writes per id,
+    * and the old record it passes in is the forward index that the
+    * postings diff starts from.
+    */
+  private def write(id: String)(f: Option[Record] => Option[Record]): Unit =
+    kv.write(id) { old =>
+      val rec = f(old)
+      index.reindex(id, old.getOrElse(Map.empty), rec.getOrElse(Map.empty))
+      rec
+    }
 
   /** Ingest a resolved live event (already linked to stable entities). */
-  def ingest(rec: (String, Record)): Unit = upsert(rec._1, rec._2)
+  def ingest(rec: (String, Record)): Unit = write(rec._1)(_ => Some(rec._2))
 
-  /** Load a view of the stable graph (bulk, no per-id reindex cost). */
-  def loadStable(entities: Seq[(String, Record)]): Unit =
-    entities.foreach { case (id, rec) =>
-      kv.put(id, rec)
-      index.indexRecord(id, rec)
-    }
+  /** Load a view of the stable graph. */
+  def loadStable(entities: Seq[(String, Record)]): Unit = entities.foreach(ingest)
 
   /** Apply a curation action: hot-fix the live indexes and emit the
     * correction for the stable graph (§4.3).
     */
   def curate(c: LiveGraph.Curation): Unit = {
-    c match {
-      case LiveGraph.BlockFact(subject, predicate, value) =>
-        kv.update(subject) { rec =>
-          rec.updated(predicate, rec.getOrElse(predicate, Seq.empty).filterNot(_ == value))
-        }
-      case LiveGraph.EditFact(subject, predicate, oldValue, newValue) =>
-        kv.update(subject) { rec =>
+    write(c.subject)(c match {
+      case LiveGraph.BlockFact(_, predicate, value) =>
+        _.map(rec => rec.updated(predicate, rec.getOrElse(predicate, Seq.empty).filterNot(_ == value)))
+      case LiveGraph.EditFact(_, predicate, oldValue, newValue) =>
+        _.map { rec =>
           val vs = rec.getOrElse(predicate, Seq.empty)
           val replaced = if (vs.contains(oldValue)) vs.map(v => if (v == oldValue) newValue else v)
                          else vs :+ newValue
           rec.updated(predicate, replaced)
         }
-      case LiveGraph.BlockEntity(subject) =>
-        kv.delete(subject)
-    }
-    kv.get(c.subject) match {
-      case Some(rec) => index.remove(c.subject); index.indexRecord(c.subject, rec)
-      case None      => index.remove(c.subject)
-    }
+      case LiveGraph.BlockEntity(_) => _ => None
+    })
     correctionLog.add(c)
   }
 
@@ -108,16 +101,18 @@ object LiveGraph {
       }.toSeq
   }
 
+  /** Minimum ER confidence for a live event's reference to bind to a stable id. */
+  private val ResolveThreshold = 0.7
+
   /** Resolve a raw live event's textual entity references against the
     * stable graph via the ER service (§4.1) and produce the live entity
     * record. Unresolved references stay textual — the application can
     * still render them, just without stable-graph reasoning.
     */
-  def resolveEvent(ev: SynthKG.LiveEvent, er: Nerd.Index,
-                   threshold: Double = 0.7): (String, Record) = {
+  def resolveEvent(ev: SynthKG.LiveEvent, er: Nerd.Index): (String, Record) = {
     def res(surface: String, hint: String): Seq[String] =
       er.disambiguate(surface, Seq.empty, Some(hint)) match {
-        case Some(p) if p.confidence >= threshold => Seq(p.id)
+        case Some(p) if p.confidence >= ResolveThreshold => Seq(p.id)
         case _ => Seq(surface)
       }
     val rec: Record = Map(

@@ -8,7 +8,7 @@ import repro.ml.StringSim
   * entity records and a sharded inverted index over their textual fields.
   * Both are optimized for low-latency retrieval under high concurrency;
   * sharding gives tight control over per-shard load (scale-out stands in
-  * for the paper's replicated index fleet).
+  * for the paper's replicated index fleet). Only [[LiveGraph]] writes them.
   */
 object Stores {
 
@@ -17,36 +17,28 @@ object Stores {
     */
   type Record = Map[String, Seq[String]]
 
-  final class KVStore(val shards: Int = 16) {
-    private val maps = Array.fill(shards)(new ConcurrentHashMap[String, Record]())
-    private def shard(id: String): ConcurrentHashMap[String, Record] =
-      maps(math.floorMod(id.hashCode, shards))
+  private val Shards = 16
 
-    def put(id: String, rec: Record): Unit = shard(id).put(id, rec)
+  final class KVStore {
+    private val maps = Array.fill(Shards)(new ConcurrentHashMap[String, Record]())
+    private def shard(id: String): ConcurrentHashMap[String, Record] =
+      maps(math.floorMod(id.hashCode, Shards))
+
     def get(id: String): Option[Record] = Option(shard(id).get(id))
-    def delete(id: String): Unit = shard(id).remove(id)
     def size: Int = maps.map(_.size()).sum
     def ids: Seq[String] = maps.toSeq.flatMap(_.keySet().asScala)
 
-    /** Atomically transform a record (used by curation hot-fixes). */
-    def update(id: String)(f: Record => Record): Unit =
-      shard(id).computeIfPresent(id, (_, r) => f(r))
+    /** Set `id`'s record to `f(current)` (`None` deletes) in the shard's per-key `compute`. */
+    private[live] def write(id: String)(f: Option[Record] => Option[Record]): Unit =
+      shard(id).compute(id, (_, old) => f(Option(old)).orNull)
   }
 
   final case class Posting(id: String, field: String)
 
-  final class InvertedIndex(val shards: Int = 16) {
-    private val maps = Array.fill(shards)(new ConcurrentHashMap[String, Set[Posting]]())
+  final class InvertedIndex {
+    private val maps = Array.fill(Shards)(new ConcurrentHashMap[String, Set[Posting]]())
     private def shard(tok: String): ConcurrentHashMap[String, Set[Posting]] =
-      maps(math.floorMod(tok.hashCode, shards))
-
-    def index(id: String, field: String, text: String): Unit =
-      StringSim.tokens(text).distinct.foreach { t =>
-        shard(t).merge(t, Set(Posting(id, field)), (a, b) => a ++ b)
-      }
-
-    def indexRecord(id: String, rec: Record): Unit =
-      rec.foreach { case (field, vals) => vals.foreach(v => index(id, field, v)) }
+      maps(math.floorMod(tok.hashCode, Shards))
 
     def postings(token: String): Set[Posting] =
       shard(StringSim.normalize(token)).getOrDefault(StringSim.normalize(token), Set.empty)
@@ -61,11 +53,21 @@ object Stores {
       }.reduce(_ intersect _)
     }
 
-    /** Remove all postings of an id (re-index after curation edits). */
-    def remove(id: String): Unit =
-      maps.foreach { m =>
-        m.replaceAll((_, ps) => ps.filterNot(_.id == id))
+    /** Move `id`'s postings from its indexed record `from` to `to`: add the
+      * (token, field) pairs only `to` has, then remove those only `from` has
+      * and drop emptied tokens. Shared pairs are never touched, so lookups
+      * cannot miss them. The caller serializes writes per id.
+      */
+    private[live] def reindex(id: String, from: Record, to: Record): Unit = {
+      val (before, after) = (pairs(from), pairs(to))
+      (after -- before).foreach { case (t, f) => shard(t).merge(t, Set(Posting(id, f)), _ ++ _) }
+      (before -- after).foreach { case (t, f) =>
+        shard(t).computeIfPresent(t, (_, ps) => Option(ps - Posting(id, f)).filter(_.nonEmpty).orNull)
       }
+    }
+
+    private def pairs(rec: Record): Set[(String, String)] =
+      rec.iterator.flatMap { case (field, vals) => vals.flatMap(StringSim.tokens).map(_ -> field) }.toSet
 
     def tokenCount: Int = maps.map(_.size()).sum
   }

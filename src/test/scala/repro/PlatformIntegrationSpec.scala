@@ -30,7 +30,7 @@ class PlatformIntegrationSpec extends SparkSpec {
     val index = new Nerd.Index(
       Nerd.buildEntries(s1.stable, Importance.importanceView(s1.stable, prIterations = 3)),
       encoder)
-    val obr = ObjectResolutionStep.resolver(index, threshold = 0.9)
+    val obr = ObjectResolutionStep.resolver(index)
     Construction.KGState(
       Dataflow.pin(obr(s1.stable)), s1.volatile, s1.links)
   }

@@ -17,7 +17,7 @@ class ObjectResolutionSpec extends SparkSpec {
   private lazy val index = new Nerd.Index(
     Nerd.buildEntries(kg, Importance.importanceView(kg, prIterations = 4)),
     KgBuilders.encoderFor(u))
-  private lazy val obr = ObjectResolutionStep.resolver(index, threshold = 0.9)
+  private lazy val obr = ObjectResolutionStep.resolver(index)
 
   private def t(s: String, p: String, o: String, rid: String = null, rp: String = null) =
     (s, p, rid, rp, o, "en", Seq("wiki"), Seq(0.9), 0.9)

@@ -46,10 +46,13 @@ class KGQSpec extends AnyFunSuite {
 
   test("parse rejects trailing garbage") {
     intercept[ParseException] { parse("""FIND person RETURN name extra""") }
+    intercept[ParseException] { parse("""FIND person RETURN name LIMIT abc""") }
+    intercept[ParseException] { parse("""FIND person RETURN name LIMIT -1""") }
   }
 
   test("parse rejects unterminated strings") {
     intercept[ParseException] { parse("""FIND person WHERE name = "unterminated RETURN name""") }
+    Seq("FIND", "FIND person WHERE", "FIND person RETURN").foreach(q => intercept[ParseException](parse(q)))
   }
 
   test("parse rejects unknown virtual operators") {
@@ -65,9 +68,8 @@ class KGQSpec extends AnyFunSuite {
 
   // ------------------------------------------------------------ execution
   private def fixture(): Engine = {
-    val kv = new KVStore(4)
-    val idx = new InvertedIndex(4)
-    def put(id: String, rec: Record): Unit = { kv.put(id, rec); idx.indexRecord(id, rec) }
+    val live = new LiveGraph()
+    def put(id: String, rec: Record): Unit = live.ingest(id -> rec)
     put("kg:tom", Map("type" -> Seq("person"), "name" -> Seq("Tom Hanks"),
       "spouse" -> Seq("kg:rita"), "birth_year" -> Seq("1956")))
     put("kg:rita", Map("type" -> Seq("person"), "name" -> Seq("Rita Wilson"),
@@ -76,7 +78,7 @@ class KGQSpec extends AnyFunSuite {
       "located_in" -> Seq("kg:usa")))
     put("kg:usa", Map("type" -> Seq("country"), "name" -> Seq("Avaloria")))
     put("kg:tom2", Map("type" -> Seq("person"), "name" -> Seq("Tom Baker")))
-    new Engine(kv, idx, Map(
+    new Engine(live.kv, live.index, Map(
       "bornIn" -> (args => Seq(Hop("birthplace", Seq(Eq("name", args.head)))))))
   }
 
