@@ -9,12 +9,13 @@ import repro.core.{Dataflow, Ontology, Schema}
   *
   *   - ToAdd: fully linked (all linking stages) then fused,
   *   - ToUpdate: previously linked — links are *looked up*, the source's
-  *     old contribution is retracted and the new payload fused,
+  *     old contribution is retracted and the new payload fused (a record
+  *     with no link is linked with ToAdd),
   *   - ToDelete: links looked up, provenance retracted, links dropped,
   *   - volatile dump: fused last by per-source partition overwrite.
   *
-  * The three payloads of a source are prepared in parallel (independent
-  * DataFrame dataflows); fusion is the per-source synchronization point.
+  * The payloads are prepared one after another (each Spark job is parallel
+  * across partitions); fusion is the per-source synchronization point.
   * A brand-new source is a full Added payload (see `Delta.bootstrap`).
   */
 object Construction {
@@ -71,51 +72,54 @@ object Construction {
     val spark = state.stable.sparkSession
     import spark.implicits._
 
+    // Link lookups are bounded by the delta, so each is collected once and
+    // feeds both the plans below and `Stats`: (linked, unlinked) subjects.
+    def lookup(triples: DataFrame): (Seq[(String, String)], Seq[String]) = {
+      val found = triples.select(col(Schema.Subject).as("srcId")).distinct()
+        .join(state.links, Seq("srcId"), "left").as[(String, Option[String])].collect().toSeq
+      (found.collect { case (s, Some(k)) => (s, k) }, found.collect { case (s, None) => s })
+    }
+    val (updLinks, unlinkedUpd) = lookup(payload.updated)
+    val (delLinks, _) = lookup(payload.deleted)
+
     // ------------------------------------------------------------- ToAdd
     // Fully linked: extract the per-type KG view, link, rewrite, resolve.
-    val addTypes = payload.added
+    // Updated records with no prior link (out-of-order feeds) join it:
+    // `Delta.compute` never re-emits them as Added.
+    val added = payload.added.unionByName(payload.updated.filter(col(Schema.Subject).isin(unlinkedUpd: _*)))
+    val addTypes = added
       .filter(col(Schema.Predicate) === Ontology.TypePred)
       .select(Schema.Obj).distinct().as[String].collect().toSeq
     val (addPayload, newLinks, sameAs) =
       if (addTypes.isEmpty) (Schema.emptyTriples(spark), Seq.empty[(String, String)].toDF("srcId", "kgId"), Schema.emptyTriples(spark))
       else {
         val kgView = Linking.kgViewForTypes(state.stable, addTypes)
-        val res = Linking.run(payload.added, kgView, model)
-        (obr(Linking.rewriteSubjects(payload.added, res.links)), res.links, res.sameAs)
+        val res = Linking.run(added, kgView, model)
+        (obr(Linking.rewriteSubjects(added, res.links)), res.links, res.sameAs)
       }
 
     // ---------------------------------------------------------- ToUpdate
-    // Previously linked: look up links in the current KG (§2.4) — no
-    // blocking/matching. Entities with no prior link (out-of-order feeds)
-    // are routed through the Added path on the next batch; here they are
-    // dropped from the update set to keep the lookup contract explicit.
-    // The lookups are bounded by the delta, so they are collected once and
-    // feed both the plans below and `Stats`.
-    def lookup(triples: DataFrame): Seq[(String, String)] =
-      triples.select(col(Schema.Subject).as("srcId")).distinct()
-        .join(state.links, Seq("srcId")).as[(String, String)].collect().toSeq
-    val updLinks = lookup(payload.updated)
+    // Previously linked: links are looked up in the current KG (§2.4) —
+    // no blocking/matching.
     val updPayload = obr(Linking.rewriteSubjects(payload.updated, updLinks.toDF("srcId", "kgId")))
 
     // ---------------------------------------------------------- ToDelete
-    val delLinks = lookup(payload.deleted)
     val retractSubjects = (updLinks ++ delLinks).map(_._2).distinct
 
     // ------------------------------------------------- fusion sync point
     // Retract this source's prior contribution for updated+deleted
-    // subjects, then fuse the new payloads and the same_as provenance.
-    // Materialize the payload dataflows at the sync point so the fusion
-    // plan is shallow (deep composite plans degrade Catalyst's
+    // subjects, then fuse the new payloads and the same_as provenance in
+    // one pass. Materialize the payload dataflows at the sync point so the
+    // fusion plan is shallow (deep composite plans degrade Catalyst's
     // size-estimation into unbounded BigInteger arithmetic). `sameAs` is
     // a projection of linking's local link table and needs no barrier.
+    // Truth discovery reads the fused KG three times, so it gets a pin.
     val addReady = Dataflow.pin(addPayload)
     val updReady = Dataflow.pin(updPayload)
-    val retracted = Dataflow.pin(Fusion.retractSource(
-      state.stable, payload.source, retractSubjects.toDF("subject")))
-    val fusedOnce = Dataflow.pin(Fusion.fuse(retracted, addReady.unionByName(sameAs)))
-    val fusedTwice = Fusion.fuse(fusedOnce, updReady)
-    val newStable0 =
-      if (runTruthDiscovery) Fusion.truthDiscovery(fusedTwice) else fusedTwice
+    val fused = Fusion.fuse(
+      Fusion.retractSource(state.stable, payload.source, retractSubjects.toDF("subject")),
+      addReady.unionByName(sameAs), updReady)
+    val newStable = if (runTruthDiscovery) Fusion.truthDiscovery(Dataflow.pin(fused)) else fused
 
     // ------------------------------------------------------ link table
     val keptLinks = state.links.join(delLinks.map(_._1).toDF("srcId"), Seq("srcId"), "left_anti")
@@ -131,7 +135,7 @@ object Construction {
     val newVolatile = Fusion.overwriteVolatilePartition(
       state.volatile, payload.source, Schema.canonicalize(dumpLinked))
 
-    val next = KGState(newStable0, newVolatile, allLinks).materialized
+    val next = KGState(newStable, newVolatile, allLinks).materialized
     val stats = Stats(payload.source,
       linkedNew = newLinks.count(), reusedLinks = updLinks.size,
       retractedSubjects = retractSubjects.size,
@@ -139,9 +143,8 @@ object Construction {
     (next, stats)
   }
 
-  /** Consume several sources. Linking of different sources is an
-    * independent dataflow (inter-source parallelism); fusion consumes the
-    * payloads one at a time — the synchronization discipline of Figure 5.
+  /** Consume several sources one after another (no inter-source
+    * parallelism): each payload is linked and fused before the next.
     */
   def consumeAll(state: KGState, payloads: Seq[SourcePayload], model: Matching.Model,
                  obr: DataFrame => DataFrame = identity,

@@ -8,8 +8,8 @@ import repro.core.{Ontology, Schema}
 /** Fusion (§2.3): merge a linked source payload with the KG into a new
   * consistent state.
   *
-  *   - Simple facts fuse by outer join on the fact key: an existing fact
-  *     gains the source in its provenance, a new fact is added.
+  *   - Simple facts fuse by union + [[consolidate]] on the fact key: an
+  *     existing fact gains the source in its provenance, a new one is added.
   *   - Composite facts first match source relationship nodes against KG
   *     relationship nodes by the intersection of their underlying facts;
   *     sufficiently-overlapping nodes merge (the source node adopts the KG
@@ -40,8 +40,7 @@ object Fusion {
 
   /** Merge duplicate fact rows (identical fact key) into one row whose
     * provenance is the union of contributors (max trust per source) and
-    * whose confidence is the noisy-or of contributor trusts. Union + this
-    * is exactly the outer-join fusion of §2.3 for simple facts.
+    * whose confidence is the noisy-or of contributor trusts.
     */
   def consolidate(triples: DataFrame): DataFrame = {
     val exploded = triples
@@ -106,19 +105,21 @@ object Fusion {
       .select(Schema.columns.map(col): _*)
   }
 
-  /** Fuse a linked, object-resolved source payload into the KG (stable
-    * facts only). The sync point of the parallel construction pipeline.
+  /** Fuse linked, object-resolved batches into the KG (stable facts only)
+    * in one pass, the sync point of construction. Each batch's relationship
+    * nodes align, in order, against the KG's nodes plus the aligned nodes
+    * of the batches before it; one [[consolidate]] then fuses every row,
+    * simple and composite (the fact key separates them by `r_id`). This
+    * equals `fuse(fuse(kg, a), b)`: consolidation is associative per fact
+    * key (max trust per source, then noisy-or) and keeps each node's fact
+    * set, so `b` aligns against the same node fact sets either way.
     */
-  def fuse(kg: DataFrame, incoming: DataFrame): DataFrame = {
-    val kgSimple   = kg.filter(col(Schema.RId).isNull)
-    val kgComp     = kg.filter(col(Schema.RId).isNotNull)
-    val inSimple   = incoming.filter(col(Schema.RId).isNull)
-    val inComp     = incoming.filter(col(Schema.RId).isNotNull)
-
-    val fusedSimple = consolidate(kgSimple.unionByName(inSimple))
-    val alignedComp = alignRelationshipNodes(kgComp, inComp)
-    val fusedComp   = consolidate(kgComp.unionByName(alignedComp))
-    Schema.canonicalize(fusedSimple.unionByName(fusedComp))
+  def fuse(kg: DataFrame, incoming: DataFrame*): DataFrame = {
+    val kgComp = kg.filter(col(Schema.RId).isNotNull)
+    val aligned = incoming.foldLeft(Seq.empty[DataFrame]) { (done, in) =>
+      done :+ alignRelationshipNodes(done.foldLeft(kgComp)(_ unionByName _), in.filter(col(Schema.RId).isNotNull))
+    }
+    consolidate((incoming.map(_.filter(col(Schema.RId).isNull)) ++ aligned).foldLeft(kg)(_ unionByName _))
   }
 
   /** Remove `source` from the provenance of all facts of the given KG
@@ -132,7 +133,7 @@ object Fusion {
                            .withColumn("__hit", lit(true)),
                          Seq(Schema.Subject), "left")
     val zipped = arrays_zip(col(Schema.Sources), col(Schema.Trust))
-    val kept = expr(s"filter(arrays_zip(${Schema.Sources}, ${Schema.Trust}), x -> x.sources != '$source')")
+    val kept = filter(zipped, _.getField(Schema.Sources) =!= lit(source))
     Schema.canonicalize(
       marked
         .withColumn("__kept", when(col("__hit").isNotNull, kept).otherwise(zipped))

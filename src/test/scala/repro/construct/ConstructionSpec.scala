@@ -163,6 +163,30 @@ class ConstructionSpec extends SparkSpec {
     assert(state1.links.filter(col("srcId") === someSrc).count() == 0)
   }
 
+  test("an updated record with no prior link is linked and fused") {
+    import spark.implicits._
+    // An out-of-order feed: the record arrives as Updated but was never
+    // linked, and `Delta.compute` will not re-emit it as Added.
+    val someSrc = truthOf.keys.head
+    val srcName = someSrc.split(':')(0)
+    val orphan = s"$srcName:never-linked"
+    val updTriples = bootPayloads.find(_.source == srcName).get.added
+      .filter(col(Schema.Subject) === someSrc)
+      .withColumn(Schema.Subject, lit(orphan))
+    val payload = Construction.SourcePayload(srcName,
+      added = Schema.emptyTriples(spark), deleted = Schema.emptyTriples(spark),
+      updated = updTriples, volatileDump = Schema.emptyTriples(spark))
+    val (state1, _) = Construction.consume(state0, payload, model, runTruthDiscovery = false)
+    val kgIds = state1.links.filter(col("srcId") === orphan).select("kgId").as[String].collect()
+    assert(kgIds.length == 1 && Schema.isKgId(kgIds.head), kgIds.mkString(","))
+    def facts(df: DataFrame): Set[(String, String)] =
+      df.filter(col(Schema.RId).isNull).select(Schema.Predicate, Schema.Obj).as[(String, String)].collect().toSet
+    val fused = facts(state1.stable.filter(
+      col(Schema.Subject) === kgIds.head && array_contains(col(Schema.Sources), srcName)))
+    assert(facts(updTriples).subsetOf(fused))
+    assert(fused.contains((Ontology.SameAs, orphan)))
+  }
+
   test("fullRebuild equals bootstrap construction on the same payloads") {
     val rebuilt = Construction.fullRebuild(spark, bootPayloads, model)
     assert(rebuilt.factCount() == state0.factCount())

@@ -1,7 +1,9 @@
 package repro.construct
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import org.scalacheck.{Gen, Prop}
+import repro.{Oracle, Props, SparkSpec}
 import repro.core.Schema
 
 /** Fusion (§2.3): outer-join fusion, relationship-node merging, truth
@@ -10,8 +12,10 @@ import repro.core.Schema
 class FusionSpec extends SparkSpec {
   import spark.implicits._
 
+  private type Triple = (String, String, String, String, String, String, Seq[String], Seq[Double], Double)
+
   private def t(s: String, p: String, o: String, src: String, trust: Double,
-                rid: String = null, rp: String = null) =
+                rid: String = null, rp: String = null): Triple =
     (s, p, rid, rp, o, "en", Seq(src), Seq(trust), trust)
 
   // ---------------------------------------------------------- consolidate
@@ -119,6 +123,31 @@ class FusionSpec extends SparkSpec {
     assert(out.count() == 2)
   }
 
+  test("fuse(kg, a, b) equals fuse(fuse(kg, a), b) row for row (property)") {
+    // Each subject's relationship nodes (one predicate) draw from a small
+    // fact pool, so the nodes of the KG, `a` and `b` overlap partially and
+    // a node of `b` can match a node only `a` brought in. Subjects fuse
+    // independently, so each case packs eight of them into one evaluation.
+    val fact = for (rp <- Gen.oneOf("school", "degree", "year"); v <- Gen.oneOf("x", "y")) yield (rp, v)
+    val node = Gen.choose(1, 3).flatMap(Gen.listOfN(_, fact)).map(_.distinct)
+    def entity(sources: Gen[String], rid: String, e: Int) = for {
+      src   <- sources
+      trust <- Gen.oneOf(0.5, 0.7, 0.9)
+      nodes <- Gen.choose(0, 2).flatMap(Gen.listOfN(_, node))
+      names <- Gen.someOf("Alpha", "Beta")
+    } yield nodes.zipWithIndex.flatMap { case (facts, i) =>
+      facts.map { case (rp, v) => t(s"kg:$e", "educated_at", v, src, trust, rid = s"$rid$e#r$i", rp = rp) }
+    } ++ names.map(t(s"kg:$e", "name", _, src, trust))
+    def batch(sources: Gen[String], rid: String) =
+      Gen.sequence[Seq[Seq[Triple]], Seq[Triple]]((1 to 8).map(entity(sources, rid, _))).map(_.flatten)
+    def rows(df: DataFrame): Seq[String] = df.collect().map(_.toString).sorted.toSeq
+    Props.check(Prop.forAllNoShrink(batch(Gen.oneOf("k", "a"), "kg:"), batch(Gen.const("a"), "a:"),
+                                    batch(Gen.oneOf("a", "b"), "b:")) { (k, a, b) =>
+      val Seq(kg, da, db) = Seq(k, a, b).map(Schema.fromTuples(spark, _))
+      rows(Fusion.fuse(kg, da, db)) == rows(Fusion.fuse(Fusion.fuse(kg, da), db))
+    }, minTests = 8)
+  }
+
   // ------------------------------------------------------------ retract
   test("retractSource removes the source from provenance of target subjects") {
     val kg = Schema.fromTuples(spark, Seq(
@@ -146,6 +175,15 @@ class FusionSpec extends SparkSpec {
       Schema.fromTuples(spark, Seq(t("kg:1", "name", "Alpha", "b", 0.8))))
     val out = Fusion.retractSource(kg, "a", Seq("kg:1").toDF("subject"))
     assert(math.abs(out.head().getAs[Double]("conf") - 0.8) < 1e-6)
+  }
+
+  test("retractSource matches source names with quotes and backslashes literally") {
+    val names = Seq("o'reilly", """c:\data""")
+    val kg = Fusion.consolidate(Schema.fromTuples(spark,
+      names.map(t("kg:1", "name", "Alpha", _, 0.9)) :+ t("kg:1", "name", "Alpha", "b", 0.8)))
+    val out = names.foldLeft(kg)(Fusion.retractSource(_, _, Seq("kg:1").toDF("subject")))
+    val r = out.head()
+    assert(r.getSeq[String](r.fieldIndex("sources")) == Seq("b"))
   }
 
   // ------------------------------------------------------------ volatile
