@@ -9,8 +9,12 @@ import repro.exp.LiveLatencyExperiment
 class LiveLatencyBench extends SparkSpec {
 
   test("E7: p95 latency of the live engine stays in the tens of milliseconds") {
-    val res = LiveLatencyExperiment.run(spark, scale = 200, nQueries = 4000, threads = 8)
+    val scale = 200
+    val res = LiveLatencyExperiment.run(spark, scale, nQueries = 4000, threads = 8)
     println(res.table)
+    BenchJson.write("E7", Seq("p50_ms" -> res.p50Ms, "p95_ms" -> res.p95Ms, "p99_ms" -> res.p99Ms,
+                              "qps" -> res.qps, "queries" -> res.queries, "scale" -> scale,
+                              "threads" -> res.threads))
 
     assert(res.p95Ms < 50.0, f"p95 ${res.p95Ms}%.2f ms — paper: <~20ms tens-of-ms SLA")
     assert(res.p50Ms <= res.p95Ms && res.p95Ms <= res.p99Ms)

@@ -25,8 +25,6 @@ object GrowthExperiment {
                                factsRel: Double, entitiesRel: Double)
 
   final case class E3Result(stats: Seq[QuarterStat], sagaQuarter: Int) {
-    def finalFactsRel: Double = stats.last.factsRel
-    def finalEntitiesRel: Double = stats.last.entitiesRel
     def table: String = Table.render(
       s"E3 / Figure 12 — relative KG growth (Saga introduced at quarter $sagaQuarter; " +
         "paper: 33x facts, 6.5x entities)",

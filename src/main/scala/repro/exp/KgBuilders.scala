@@ -49,33 +49,12 @@ object KgBuilders {
     Schema.fromTuples(spark, rows)
   }
 
-  /** Volatile popularity triples for the direct KG. */
-  def directVolatile(spark: SparkSession, u: SynthKG.Universe): DataFrame =
-    Schema.fromTuples(spark, u.entities.map { e =>
-      (kgIdOf(e.id), "popularity", null: String, null: String,
-       f"${e.popularity}%.6f", "en", Seq("geodb"), Seq(0.95), 0.95)
-    })
-
   /** Train the learned string encoder with distant supervision from the
     * universe's alias clusters (§5.1) — the same signal the production
     * system harvests from the KG itself.
     */
   def encoderFor(u: SynthKG.Universe): StringSim.LearnedEncoder =
     StringSim.trainEncoder(u.entities.map(_.allNames).filter(_.size > 1))
-
-  /** Alias clusters straight from a constructed KG (name+alias triples per
-    * subject) — used when no ground truth is available.
-    */
-  def encoderFromKG(kg: DataFrame): StringSim.LearnedEncoder = {
-    val spark = kg.sparkSession
-    import spark.implicits._
-    import org.apache.spark.sql.functions._
-    val clusters = kg
-      .filter(col(Schema.Predicate).isin("name", "alias") && col(Schema.RId).isNull)
-      .groupBy(col(Schema.Subject)).agg(collect_set(col(Schema.Obj)).as("ns"))
-      .select("ns").as[Seq[String]].collect().toSeq
-    StringSim.trainEncoder(clusters.filter(_.size > 1))
-  }
 
   /** Build one construction payload for a source at an epoch, using the
     * ingestion platform's delta computation (bootstrap at epoch 0 /

@@ -127,32 +127,54 @@ object KGQ {
   /** One result row: entity id + projected predicate values. */
   final case class ResultRow(id: String, values: Map[String, Seq[String]])
 
+  /** How [[Engine.execute]] ran a query: the constraint that bounded the
+    * candidates (`type`, a literal such as `name = "X"`, `hop:<pred>`, or
+    * `scan` when nothing bounds them), how many candidates it gave, and how
+    * many of them passed verification before `LIMIT`.
+    */
+  final case class Plan(driving: String, candidates: Int, verified: Int)
+
   /** The physical execution engine: compiles a query into (1) a driving
-    * index retrieval — the most selective literal constraint is pushed
-    * down into the inverted index — and (2) residual verification against
-    * the KV store, parallelized across candidates for large candidate
-    * sets (intra-query parallelism, §4.2).
+    * index retrieval and (2) residual verification against the KV store,
+    * parallelized across candidates for large candidate sets (intra-query
+    * parallelism, §4.2).
+    *
+    * The inverted index keys its postings by token, then field. A literal
+    * or the type bounds the candidates by its posting set. A hop
+    * `p -> (sub)` bounds them by the records whose `p` field holds one of
+    * the sub-query's candidate ids, read from field `p`'s postings of each
+    * id's tokens, so `birthplace -> (name = "X")` starts from the people
+    * born in the places named X. The planner recurses through nested hops
+    * and drives from the smallest bound. Every bound is a superset of the
+    * matching ids and verification is exact, so the rows do not depend on
+    * the plan.
     */
   final class Engine(kv: KVStore, idx: InvertedIndex,
                      ops: Map[String, VirtualOp] = Map.empty) {
 
     def query(text: String): Seq[ResultRow] = execute(parse(text, ops))
 
-    private def literalConds(conds: Seq[Cond]): Seq[(String, String)] = conds.collect {
-      case Eq(p, v) => (p, v)
-      case Contains(p, v) => (p, v)
-    }
-
-    /** Candidate generation with push-down: evaluate every literal
-      * constraint (including the type constraint) against the inverted
-      * index and drive from the smallest posting set.
+    /** The smallest candidate bound of `conds` (and the type `etype`) with
+      * the constraint it came from; `None` when no constraint bounds them.
+      * A literal with no tokens bounds nothing: it can match values that
+      * index no tokens. A hop bounds nothing when its sub-query is unbounded
+      * or one of its candidate ids has no tokens to look up.
       */
-    private def candidates(q: Query): Set[String] = {
-      val sets = literalConds(q.conds).map { case (p, v) => idx.lookup(v, Some(p)) } ++
-        q.etype.map(t => idx.lookup(t, Some("type"))).toSeq
-      sets match {
-        case Nil => kv.ids.toSet // unconstrained scan (bounded by limit downstream)
-        case ss  => ss.minBy(_.size) // drive from the most selective
+    private def bound(conds: Seq[Cond], etype: Option[String]): Option[(String, Set[String])] = {
+      val literals = conds.collect {
+        case Eq(p, v)       => (s"$p = \"$v\"", p, v)
+        case Contains(p, v) => (s"$p ~ \"$v\"", p, v)
+      } ++ etype.map(t => ("type", "type", t))
+      val best = literals.collect {
+        case (label, p, v) if StringSim.tokens(v).nonEmpty => label -> idx.lookup(v, Some(p))
+      }.minByOption(_._2.size)
+      conds.foldLeft(best) {
+        case (acc, Hop(p, sub)) =>
+          bound(sub, None).collect {
+            case (_, targets) if targets.forall(StringSim.tokens(_).nonEmpty) =>
+              s"hop:$p" -> targets.flatMap(t => idx.lookup(t, Some(p)))
+          }.filter { case (_, ids) => acc.forall(ids.size < _._2.size) }.orElse(acc)
+        case (acc, _) => acc
       }
     }
 
@@ -183,19 +205,25 @@ object KGQ {
         ResultRow(id, vals)
       }
 
-    def execute(q: Query): Seq[ResultRow] = {
+    /** The plan that [[execute]] runs for `q`, with its counts. */
+    def explain(q: Query): Plan = run(q)._1
+
+    def execute(q: Query): Seq[ResultRow] = run(q)._2
+
+    private def run(q: Query): (Plan, Seq[ResultRow]) = {
+      val (driving, cands) = bound(q.conds, q.etype).getOrElse("scan" -> kv.ids.toSet)
       // Rows come out in id order: both branches keep the candidates' order.
-      val cands = candidates(q).toSeq.sorted
+      val sorted = cands.toSeq.sorted
       val rows =
-        if (cands.size > 256) {
+        if (sorted.size > 256) {
           // intra-query parallelism for large candidate sets
           import scala.jdk.CollectionConverters._
-          cands.asJava.parallelStream()
+          sorted.asJava.parallelStream()
             .map[Option[ResultRow]](id => verify(q)(id))
             .collect(java.util.stream.Collectors.toList[Option[ResultRow]])
             .asScala.flatten.toSeq
-        } else cands.flatMap(verify(q))
-      rows.take(q.limit)
+        } else sorted.flatMap(verify(q))
+      (Plan(driving, sorted.size, rows.size), rows.take(q.limit))
     }
   }
 }

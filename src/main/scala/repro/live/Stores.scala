@@ -35,34 +35,50 @@ object Stores {
 
   final case class Posting(id: String, field: String)
 
+  /** Token → field → ids. A field-restricted lookup is two map reads, and
+    * the ids under (token, field) are exactly the records whose `field`
+    * holds a value with that token. For a field whose values are entity
+    * ids, that is the field's reverse edges, keyed by the ids' tokens.
+    */
   final class InvertedIndex {
-    private val maps = Array.fill(Shards)(new ConcurrentHashMap[String, Set[Posting]]())
-    private def shard(tok: String): ConcurrentHashMap[String, Set[Posting]] =
+    private type ByField = Map[String, Set[String]]
+    private val maps = Array.fill(Shards)(new ConcurrentHashMap[String, ByField]())
+    private def shard(tok: String): ConcurrentHashMap[String, ByField] =
       maps(math.floorMod(tok.hashCode, Shards))
+    private def byField(tok: String): ByField = shard(tok).getOrDefault(tok, Map.empty)
 
-    def postings(token: String): Set[Posting] =
-      shard(StringSim.normalize(token)).getOrDefault(StringSim.normalize(token), Set.empty)
+    def postings(token: String): Set[Posting] = {
+      val t = StringSim.normalize(token)
+      byField(t).iterator.flatMap { case (f, ids) => ids.iterator.map(Posting(_, f)) }.toSet
+    }
 
-    /** Ids whose `field` contains every token of `text`. */
+    /** Ids whose `field` contains every token of `text`; empty when `text`
+      * has no tokens. The token sets are intersected smallest first.
+      */
     def lookup(text: String, field: Option[String] = None): Set[String] = {
-      val toks = StringSim.tokens(text)
-      if (toks.isEmpty) return Set.empty
-      toks.map { t =>
-        val ps = postings(t)
-        (field match { case Some(f) => ps.filter(_.field == f); case None => ps }).map(_.id)
-      }.reduce(_ intersect _)
+      StringSim.tokens(text).distinct.map { t =>
+        field match {
+          case Some(f) => byField(t).getOrElse(f, Set.empty[String])
+          case None    => byField(t).valuesIterator.flatten.toSet
+        }
+      }.sortBy(_.size).reduceOption((acc, s) => acc.filter(s)).getOrElse(Set.empty)
     }
 
     /** Move `id`'s postings from its indexed record `from` to `to`: add the
-      * (token, field) pairs only `to` has, then remove those only `from` has
-      * and drop emptied tokens. Shared pairs are never touched, so lookups
-      * cannot miss them. The caller serializes writes per id.
+      * (token, field) pairs only `to` has, then remove those only `from` has,
+      * dropping emptied fields and tokens. Shared pairs are never touched, so
+      * lookups cannot miss them. The caller serializes writes per id.
       */
     private[live] def reindex(id: String, from: Record, to: Record): Unit = {
       val (before, after) = (pairs(from), pairs(to))
-      (after -- before).foreach { case (t, f) => shard(t).merge(t, Set(Posting(id, f)), _ ++ _) }
+      (after -- before).foreach { case (t, f) =>
+        shard(t).merge(t, Map(f -> Set(id)), (m, _) => m.updated(f, m.getOrElse(f, Set.empty) + id))
+      }
       (before -- after).foreach { case (t, f) =>
-        shard(t).computeIfPresent(t, (_, ps) => Option(ps - Posting(id, f)).filter(_.nonEmpty).orNull)
+        shard(t).computeIfPresent(t, (_, m) => {
+          val ids = m.getOrElse(f, Set.empty) - id
+          Option(if (ids.isEmpty) m - f else m.updated(f, ids)).filter(_.nonEmpty).orNull
+        })
       }
     }
 

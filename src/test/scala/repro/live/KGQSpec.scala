@@ -1,6 +1,10 @@
 package repro.live
 
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Props
+import repro.ml.StringSim
 import KGQ._
 import Stores._
 
@@ -128,5 +132,96 @@ class KGQSpec extends AnyFunSuite {
     val rows = fixture().query("""FIND country WHERE name = "Avaloria" RETURN id, *""")
     assert(rows.head.values("id") == Seq("kg:usa"))
     assert(rows.head.values("*").contains("name"))
+  }
+
+  // ------------------------------------------------- planning (§4.2)
+  private def graph(recs: (String, Record)*): LiveGraph = {
+    val live = new LiveGraph()
+    live.loadStable(recs)
+    live
+  }
+
+  /** Reference KGQ evaluation: a scan of every KV record with no index. */
+  private def scan(live: LiveGraph, q: Query): Seq[String] = {
+    def holds(rec: Record, c: Cond, depth: Int): Boolean = c match {
+      case Eq(p, v) => rec.getOrElse(p, Seq.empty).exists(StringSim.normalize(_) == StringSim.normalize(v))
+      case Contains(p, v) =>
+        rec.getOrElse(p, Seq.empty).exists(x => StringSim.tokens(v).toSet.subsetOf(StringSim.tokens(x).toSet))
+      case Hop(p, sub) =>
+        depth < 4 && rec.getOrElse(p, Seq.empty).exists(t => live.kv.get(t).exists(r => sub.forall(holds(r, _, depth + 1))))
+    }
+    live.kv.ids.sorted.filter { id =>
+      live.kv.get(id).exists(rec => q.etype.forall(t => rec.getOrElse("type", Seq.empty).contains(t)) &&
+                                    q.conds.forall(holds(rec, _, 0)))
+    }.take(q.limit)
+  }
+
+  test("a literal with no tokens bounds no candidates") {
+    val live = graph("kg:a" -> Map("type" -> Seq("person"), "name" -> Seq("?")),
+                     "kg:b" -> Map("type" -> Seq("person"), "name" -> Seq("Ann Lee")))
+    val engine = new Engine(live.kv, live.index)
+    val want = Map("""FIND person WHERE name = "!" RETURN id""" -> Seq("kg:a"),
+                   """FIND person WHERE name ~ "" RETURN id""" -> Seq("kg:a", "kg:b"),
+                   """FIND * WHERE name ~ "" RETURN id""" -> Seq("kg:a", "kg:b"))
+    want.foreach { case (text, ids) =>
+      val q = parse(text)
+      assert(scan(live, q) == ids, text)
+      assert(engine.execute(q).map(_.id) == ids, text)
+    }
+  }
+
+  test("explain: a hop drives from the records that point at its sub-query's ids") {
+    val city = (id: String, name: String) => id -> Map("type" -> Seq("city"), "name" -> Seq(name))
+    val person = (id: String, born: String) =>
+      id -> Map("type" -> Seq("person"), "name" -> Seq(s"P $id"), "birthplace" -> Seq(born))
+    val live = graph(city("kg:salem", "Salem"), city("kg:paris", "Paris"),
+                     person("kg:p1", "kg:salem"), person("kg:p2", "kg:salem"), person("kg:p3", "kg:salem"),
+                     person("kg:p4", "kg:paris"), person("kg:p5", "kg:paris"))
+    val engine = new Engine(live.kv, live.index)
+    val hop = parse("""FIND person WHERE birthplace -> (name = "Salem") RETURN id LIMIT 2""")
+    assert(engine.explain(hop) == Plan("hop:birthplace", 3, 3))
+    assert(engine.execute(hop).map(_.id) == Seq("kg:p1", "kg:p2"))
+    assert(engine.explain(parse("""FIND person WHERE name = "P kg:p4" RETURN id""")) ==
+      Plan("name = \"P kg:p4\"", 1, 1))
+    assert(engine.explain(parse("""FIND city RETURN id""")) == Plan("type", 2, 2))
+    assert(engine.explain(parse("""FIND * RETURN id""")) == Plan("scan", 7, 7))
+  }
+
+  /** Ids that share tokens (`kg:a`, `kg:a:b`, `KG:A`) or have none (`::`). */
+  private val hopIds = Seq("kg:a", "kg:a:b", "KG:A", "::", "kg:b", "kg:c")
+  private val names = Seq("Ann", "Ann Lee", "Lee", "?", "Bo")
+  private val edges = Seq("spouse", "birthplace")
+
+  private val recordGen: Gen[Record] = for {
+    ty <- Gen.oneOf("person", "city")
+    name <- Gen.oneOf(names)
+    refs <- Gen.listOf(Gen.zip(Gen.oneOf(edges),
+              Gen.frequency(6 -> Gen.oneOf(hopIds), 1 -> Gen.const("kg:dangling"), 1 -> Gen.oneOf(names))))
+  } yield Map("type" -> Seq(ty), "name" -> Seq(name)) ++
+    refs.groupMap(_._1)(_._2).map { case (p, vs) => p -> vs.distinct }
+
+  private def condGen(depth: Int): Gen[Cond] = {
+    val literal = Gen.zip(Gen.oneOf("name" +: edges), Gen.oneOf(names ++ hopIds :+ "" :+ "!"), Gen.prob(0.5))
+      .map { case (p, v, eq) => if (eq) Eq(p, v) else Contains(p, v) }
+    if (depth >= 5) literal
+    else Gen.frequency(1 -> literal, 2 -> Gen.zip(Gen.oneOf(edges), Gen.choose(1, 2))
+      .flatMap { case (p, n) => Gen.listOfN(n, condGen(depth + 1)).map(Hop(p, _)) })
+  }
+
+  test("engine equals a KV scan on random graphs with hops (property)") {
+    val queryGen = for {
+      ty <- Gen.option(Gen.oneOf("person", "city"))
+      n <- Gen.choose(0, 3)
+      conds <- Gen.listOfN(n, condGen(0))
+    } yield Query(ty, conds, Seq("id"), limit = 100)
+    // An id left without a record is a dangling reference.
+    val gen = Gen.zip(Gen.listOfN(hopIds.size, Gen.option(recordGen)), Gen.listOfN(20, queryGen))
+    Props.check(Prop.forAllNoShrink(gen) { case (recOpts, queries) =>
+      val recs = hopIds.zip(recOpts).collect { case (id, Some(rec)) => id -> rec }
+      val live = graph(recs: _*)
+      val engine = new Engine(live.kv, live.index)
+      val wrong = queries.filter(q => engine.execute(q).map(_.id) != scan(live, q))
+      wrong.isEmpty :| s"engine differs from a KV scan on ${wrong.take(2)} over $recs"
+    }, minTests = 200)
   }
 }
