@@ -9,8 +9,13 @@ import repro.exp.ViewExperiments
 class ViewDepsBench extends SparkSpec {
 
   test("E2: reusing the shared entity-features view cuts total runtime substantially") {
-    val res = ViewExperiments.runE2(spark, scale = 300)
+    val scale = 300
+    val res = ViewExperiments.runE2(spark, scale)
     println(res.table)
+    BenchJson.write("E2", Seq("reuse_s" -> res.withReuseSec, "no_reuse_s" -> res.withoutReuseSec,
+                              "improvement" -> res.improvement,
+                              "recompute_count" -> res.computeCounts("entity_features"),
+                              "scale" -> scale))
 
     // The baseline recomputes the features view once per consumer.
     assert(res.computeCounts("entity_features") == 3)

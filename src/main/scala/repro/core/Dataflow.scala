@@ -2,11 +2,16 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 
-/** Dataflow utilities shared by the construction pipelines. */
+/** Dataflow utilities shared by the construction pipelines and the
+  * Graph Engine.
+  */
 object Dataflow {
 
   /** Materialize a DataFrame and cut BOTH its lineage and its Catalyst
-    * statistics history.
+    * statistics history. This is the one way a derived relation is
+    * materialized for reuse, in construction and in the Graph Engine's
+    * views alike; only the analytics store's read-optimized layout is
+    * cached instead (see `AnalyticsStore.Store`).
     *
     * Why not `localCheckpoint` alone: `Dataset.localCheckpoint` snapshots
     * the *optimized plan's statistics* into the resulting `LogicalRDD`.

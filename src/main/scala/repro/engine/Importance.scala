@@ -49,8 +49,8 @@ object Importance {
     * redistributed uniformly). Returns (id, pagerank) summing to ~1.
     */
   def pagerank(triples: DataFrame, iterations: Int = 10, damping: Double = 0.85): DataFrame = {
-    val e = edges(triples).cache()
-    val nodes = triples.select(col(Schema.Subject).as("id")).distinct().cache()
+    val e = Dataflow.pin(edges(triples))
+    val nodes = Dataflow.pin(triples.select(col(Schema.Subject).as("id")).distinct())
     val n = nodes.count().toDouble
     if (n == 0) return nodes.withColumn("pagerank", lit(0.0))
     val outDeg = e.groupBy(col("src").as("id")).agg(count("*").as("deg"))
@@ -70,17 +70,19 @@ object Importance {
             (lit((1 - damping) / n) +
              lit(damping) * (coalesce(col("inbound"), lit(0.0)) + lit(danglingMass / n))).as("rank")))
     }
-    e.unpersist(); nodes.unpersist()
     ranks.withColumnRenamed("rank", "pagerank")
   }
 
-  /** The importance view: all four metrics plus the aggregate score. */
+  /** The importance view: all four metrics plus the aggregate score. The
+    * joined metrics are pinned once, so the maxima and every consumer of
+    * the view read them instead of recomputing degrees and PageRank.
+    */
   def importanceView(triples: DataFrame, prIterations: Int = 10): DataFrame = {
     val d = degrees(triples)
     val ids = identities(triples)
     val pr = pagerank(triples, prIterations)
-    val joined = d.join(ids, Seq("id"), "left").join(pr, Seq("id"), "left")
-      .na.fill(0L, Seq("identities")).na.fill(0.0, Seq("pagerank"))
+    val joined = Dataflow.pin(d.join(ids, Seq("id"), "left").join(pr, Seq("id"), "left")
+      .na.fill(0L, Seq("identities")).na.fill(0.0, Seq("pagerank")))
     val maxes = joined.agg(
       greatest(max("inDegree"), lit(1L)).as("mi"),
       greatest(max("outDegree"), lit(1L)).as("mo"),

@@ -1,6 +1,7 @@
 package repro.engine
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.Dataflow
 import scala.collection.mutable
 
 /** KG views and their lifecycle (§3.2): a view is *any* transformation of
@@ -94,6 +95,8 @@ object Views {
 
   /** The View Manager: executes the dependency graph against the KG.
     *
+    * Every output is pinned: views are served, not lazy, so a consumer
+    * reads a view's rows instead of re-running its plan.
     * With `reuseShared = true` (production behaviour) every view is
     * materialized once and shared by all consumers. With `false`, each
     * consumer recomputes its upstream views — the no-multi-query-
@@ -122,11 +125,7 @@ object Views {
           if (reuseShared) d -> outputs.getOrElseUpdate(d, materialize(dv))
           else d -> materialize(dv) // recompute per consumer
         }.toMap
-        val (df, secs) = timed {
-          val out = v.create(spark, kg, depOut)
-          out.count() // force materialization — views are served, not lazy
-          out
-        }
+        val (df, secs) = timed(Dataflow.pin(v.create(spark, kg, depOut)))
         seconds(v.name) += secs
         counts(v.name) += 1
         df
@@ -152,7 +151,7 @@ object Views {
           case (Some(u), Some(prev)) => u(spark, prev, kg, depOut, changedIds)
           case _ => v.create(spark, kg, depOut)
         }
-        outputs(v.name) = out
+        outputs(v.name) = Dataflow.pin(out)
       }
       outputs.toMap
     }

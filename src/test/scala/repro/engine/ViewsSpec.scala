@@ -76,6 +76,25 @@ class ViewsSpec extends SparkSpec {
     assert(rep.outputs.keySet == Set("features", "ranked", "neighborhood"))
   }
 
+  test("a shared view is evaluated once, however many consumers read it") {
+    // every row the dependency's plan produces passes through this UDF,
+    // so the accumulator counts evaluations of the plan, not calls to create
+    val evaluated = spark.sparkContext.longAccumulator("dep rows")
+    val seen = udf { (_: String) => evaluated.add(1); true }.asNondeterministic() // not pushed below distinct
+    val c = new Catalog
+    c.register(ViewDef("dep", "analytics", Seq.empty,
+      (_, k, _) => k.select(col("subject").as("id")).distinct().filter(seen(col("id")))))
+    c.register(ViewDef("left", "analytics", Seq("dep"),
+      (_, _, d) => d("dep").withColumn("side", lit("left"))))
+    c.register(ViewDef("right", "analytics", Seq("dep"),
+      (_, _, d) => d("dep").withColumn("side", lit("right"))))
+    val rows = kg.select("subject").distinct().count()
+    val rep = new Manager(c).materializeAll(spark, kg, reuseShared = true)
+    assert(evaluated.value == rows)
+    assert(rep.outputs("left").count() == rows && rep.outputs("right").count() == rows)
+    assert(evaluated.value == rows) // reading a served view does not re-run its plan
+  }
+
   test("materializeAll without reuse recomputes per consumer (E2 baseline)") {
     val c = new Catalog
     val n = new java.util.concurrent.atomic.AtomicInteger()
