@@ -10,8 +10,13 @@ import repro.exp.IncrementalExperiment
 class IncrementalBench extends SparkSpec {
 
   test("E8: incremental construction and volatile overwrite beat their baselines") {
-    val res = IncrementalExperiment.run(spark, scale = 100)
+    val scale = 100
+    val res = IncrementalExperiment.run(spark, scale)
     println(res.table)
+    BenchJson.write("E8", Seq("full_s" -> res.fullSec, "incremental_s" -> res.incrementalSec,
+                              "construction_speedup" -> res.constructionSpeedup,
+                              "volatile_speedup" -> res.volatileSpeedup,
+                              "delta_frac" -> res.deltaFrac, "scale" -> scale))
 
     // the delta really is small relative to the full payload
     assert(res.deltaFrac < 0.5, f"delta fraction ${res.deltaFrac * 100}%.0f%%")

@@ -1,7 +1,6 @@
 package repro.construct
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{Dataset, Encoder}
 import repro.ml.StringSim
 
 /** Blocking (§2.3 step 3): distribute entities across buckets with
@@ -33,34 +32,51 @@ object Blocking {
   def keysForRecord(etype: String, name: String, aliases: Seq[String]): Seq[String] =
     (name +: aliases).flatMap(keysForName).distinct.map(k => s"$etype|$k")
 
-  /** Entity records (columns: id, etype, name, aliases) → block membership
-    * (blockKey, id). Oversized blocks (low-information keys) are dropped —
-    * the standard guard against quadratic blow-up in skewed blocks.
+  /** Block keys of `records` shared by more than `maxBlockSize` records:
+    * low-information keys whose blocks are dropped — the standard guard
+    * against quadratic blow-up in skewed blocks. They are few, so the
+    * caller collects them for [[pairs]].
     */
-  def blocks(records: DataFrame, maxBlockSize: Int = 200): DataFrame = {
+  def oversizedKeys(records: Dataset[Matching.Rec], maxBlockSize: Int): Dataset[String] = {
     val spark = records.sparkSession
     import spark.implicits._
-    val membership = records
-      .select($"id", $"etype", $"name", $"aliases")
-      .as[(String, String, String, Seq[String])]
-      .flatMap { case (id, etype, name, aliases) =>
-        keysForRecord(etype, name, Option(aliases).getOrElse(Seq.empty)).map(k => (k, id))
-      }
-      .toDF("blockKey", "id")
-      .dropDuplicates("blockKey", "id")
-    val sizes = membership.groupBy("blockKey").count()
-    membership.join(sizes.filter($"count" <= maxBlockSize).select("blockKey"), Seq("blockKey"))
+    records.flatMap(r => recordKeys(r))
+      .groupBy("value").count().filter($"count" > maxBlockSize)
+      .select("value").as[String]
   }
 
-  /** Candidate pairs from block co-membership (§2.3 step 4 input): all
-    * unordered pairs within a block, deduplicated across blocks.
+  /** Candidate pairs of `records` (§2.3 steps 3–4), each handed to `score`
+    * once: the pairs of records that share a block key outside
+    * `oversized`, have at least one source record (construction never
+    * merges two KG entities), and `score` keeps.
+    *
+    * One shuffle: each kept block is scored locally, and a pair is scored
+    * only in the smallest kept key its two records share, so a pair
+    * co-blocked under several keys is scored once (Kolb, Thor & Rahm,
+    * "Don't Match Twice", 2013). `score(a, b)` gets the pair in Spark's
+    * string order of ids, `a.id < b.id`.
     */
-  def candidatePairs(blocks: DataFrame): DataFrame = {
-    val a = blocks.select(col("blockKey"), col("id").as("id1"))
-    val b = blocks.select(col("blockKey"), col("id").as("id2"))
-    a.join(b, Seq("blockKey"))
-      .filter(col("id1") < col("id2"))
-      .select("id1", "id2")
-      .dropDuplicates("id1", "id2")
+  def pairs[T: Encoder](records: Dataset[Matching.Rec], oversized: Set[String])
+                       (score: (Matching.Rec, Matching.Rec) => Option[T]): Dataset[T] = {
+    val spark = records.sparkSession
+    import spark.implicits._
+    // A function value, not a local def: tasks capture it, and a local
+    // def would capture this (unserializable) object instead.
+    val kept = (r: Matching.Rec) => recordKeys(r).filterNot(oversized)
+    records.flatMap(r => kept(r).map(_ -> r))
+      .groupByKey(_._1)
+      .flatMapGroups { (key, members) =>
+        val recs = members.map(_._2).toVector.sortBy(_.id)(CorrelationClustering.sparkOrder)
+        val keys = recs.map(kept(_).toSet)
+        for {
+          i <- recs.indices.iterator
+          j <- (i + 1 until recs.size).iterator
+          if !(recs(i).isKg && recs(j).isKg) && keys(i).intersect(keys(j)).min == key
+          t <- score(recs(i), recs(j))
+        } yield t
+      }
   }
+
+  private def recordKeys(r: Matching.Rec): Seq[String] =
+    keysForRecord(r.etype, r.name, Option(r.aliases).getOrElse(Seq.empty))
 }

@@ -72,26 +72,36 @@ object Construction {
     val spark = state.stable.sparkSession
     import spark.implicits._
 
-    // Link lookups are bounded by the delta, so each is collected once and
-    // feeds both the plans below and `Stats`: (linked, unlinked) subjects.
-    def lookup(triples: DataFrame): (Seq[(String, String)], Seq[String]) = {
-      val found = triples.select(col(Schema.Subject).as("srcId")).distinct()
-        .join(state.links, Seq("srcId"), "left").as[(String, Option[String])].collect().toSeq
-      (found.collect { case (s, Some(k)) => (s, k) }, found.collect { case (s, None) => s })
-    }
-    val (updLinks, unlinkedUpd) = lookup(payload.updated)
-    val (delLinks, _) = lookup(payload.deleted)
+    // The driver inputs are bounded by the payload, so one collect gathers
+    // them: the subjects of updated and deleted records, and the types of
+    // added and updated records. Known links are a filter of the link
+    // table; each lookup feeds both the plans below and `Stats`.
+    def typed(triples: DataFrame, kind: String) = triples.select(lit(kind), col(Schema.Subject),
+      when(col(Schema.Predicate) === Ontology.TypePred, col(Schema.Obj)))
+    val inputs = typed(payload.added.filter(col(Schema.Predicate) === Ontology.TypePred), "a")
+      .union(typed(payload.updated, "u")).union(typed(payload.deleted, "d"))
+      .as[(String, String, Option[String])].collect().toSeq.distinct
+    def subjects(kind: String) = inputs.collect { case (`kind`, s, _) => s }.distinct
+    val (updIds, delIds) = (subjects("u"), subjects("d"))
+    val known: Map[String, String] =
+      if (updIds.isEmpty && delIds.isEmpty) Map.empty
+      else state.links.filter(col("srcId").isin(updIds ++ delIds: _*))
+        .as[(String, String)].collect().toMap
+    val updLinks = updIds.flatMap(s => known.get(s).map(s -> _))
+    val delLinks = delIds.flatMap(s => known.get(s).map(s -> _))
+    val unlinkedUpd = updIds.filterNot(known.contains).toSet
 
     // ------------------------------------------------------------- ToAdd
     // Fully linked: extract the per-type KG view, link, rewrite, resolve.
     // Updated records with no prior link (out-of-order feeds) join it:
     // `Delta.compute` never re-emits them as Added.
-    val added = payload.added.unionByName(payload.updated.filter(col(Schema.Subject).isin(unlinkedUpd: _*)))
-    val addTypes = added
-      .filter(col(Schema.Predicate) === Ontology.TypePred)
-      .select(Schema.Obj).distinct().as[String].collect().toSeq
+    val added = payload.added.unionByName(payload.updated.filter(col(Schema.Subject).isin(unlinkedUpd.toSeq: _*)))
+    val addTypes = inputs.collect {
+      case ("a", _, Some(t)) => t
+      case ("u", s, Some(t)) if unlinkedUpd(s) => t
+    }.distinct
     val (addPayload, newLinks, sameAs) =
-      if (addTypes.isEmpty) (Schema.emptyTriples(spark), Seq.empty[(String, String)].toDF("srcId", "kgId"), Schema.emptyTriples(spark))
+      if (addTypes.isEmpty) (Schema.emptyTriples(spark), Seq.empty[(String, String)], Schema.emptyTriples(spark))
       else {
         val kgView = Linking.kgViewForTypes(state.stable, addTypes)
         val res = Linking.run(added, kgView, model)
@@ -101,7 +111,7 @@ object Construction {
     // ---------------------------------------------------------- ToUpdate
     // Previously linked: links are looked up in the current KG (§2.4) —
     // no blocking/matching.
-    val updPayload = obr(Linking.rewriteSubjects(payload.updated, updLinks.toDF("srcId", "kgId")))
+    val updPayload = obr(Linking.rewriteSubjects(payload.updated, updLinks))
 
     // ---------------------------------------------------------- ToDelete
     val retractSubjects = (updLinks ++ delLinks).map(_._2).distinct
@@ -122,8 +132,11 @@ object Construction {
     val newStable = if (runTruthDiscovery) Fusion.truthDiscovery(Dataflow.pin(fused)) else fused
 
     // ------------------------------------------------------ link table
-    val keptLinks = state.links.join(delLinks.map(_._1).toDF("srcId"), Seq("srcId"), "left_anti")
-    val allLinks = keptLinks.unionByName(newLinks).dropDuplicates("srcId")
+    // Deleted records lose their links and newly linked ones replace any
+    // they had (an Added payload consumed again, as in op-log replay).
+    val replaced = (delLinks.map(_._1) ++ newLinks.map(_._1)).toDF("srcId")
+    val allLinks = state.links.join(broadcast(replaced), Seq("srcId"), "left_anti")
+      .unionByName(newLinks.toDF("srcId", "kgId"))
 
     // -------------------------------------------------------- volatile
     // Map the dump into the KG namespace through the *new* link table,
@@ -137,7 +150,7 @@ object Construction {
 
     val next = KGState(newStable, newVolatile, allLinks).materialized
     val stats = Stats(payload.source,
-      linkedNew = newLinks.count(), reusedLinks = updLinks.size,
+      linkedNew = newLinks.size, reusedLinks = updLinks.size,
       retractedSubjects = retractSubjects.size,
       fusedFacts = addReady.count() + updReady.count())
     (next, stats)

@@ -52,7 +52,7 @@ object CorrelationClustering {
     * string column uses. `String.compareTo` compares UTF-16 units and
     * differs from it outside the BMP.
     */
-  private val sparkOrder: Ordering[String] =
+  private[construct] val sparkOrder: Ordering[String] =
     (x, y) => UTF8String.fromString(x).binaryCompare(UTF8String.fromString(y))
 
   /** Resolve the linkage graph of one payload: `sources` are the source

@@ -1,8 +1,9 @@
 package repro.construct
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, Encoders, Row}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.StructType
 import repro.core.{Ontology, Schema}
 
 /** Fusion (§2.3): merge a linked source payload with the KG into a new
@@ -40,86 +41,88 @@ object Fusion {
 
   /** Merge duplicate fact rows (identical fact key) into one row whose
     * provenance is the union of contributors (max trust per source) and
-    * whose confidence is the noisy-or of contributor trusts.
+    * whose confidence is the noisy-or of contributor trusts. One
+    * aggregation: each key's (source, trust) list is sorted, so the last
+    * entry of each source holds its max trust.
     */
-  def consolidate(triples: DataFrame): DataFrame = {
-    val exploded = triples
+  def consolidate(triples: DataFrame): DataFrame =
+    triples
       .select(keyCols.map(col) :+
               explode(arrays_zip(col(Schema.Sources), col(Schema.Trust))).as("st"): _*)
-      .select(keyCols.map(col) :+ col("st.sources") :+ col("st.trust"): _*)
-    val bySrc = exploded.groupBy((keyCols :+ Schema.Sources).map(col): _*)
-      .agg(max(Schema.Trust).as(Schema.Trust))
-    bySrc
       .groupBy(keyCols.map(col): _*)
-      .agg(sort_array(collect_list(struct(col(Schema.Sources), col(Schema.Trust)))).as("st"))
+      .agg(sort_array(collect_list(col("st"))).as("st"))
+      .withColumn("st", expr("filter(st, (x, i) -> i + 1 = size(st) OR get(st, i + 1).sources != x.sources)"))
       .select(keyCols.map(col) :+
               expr("st.sources").as(Schema.Sources) :+
               expr("st.trust").as(Schema.Trust) :+
               noisyOr("st").as(Schema.Conf): _*)
-  }
 
   /** Deterministic relationship-node id for a source node that matched no
     * KG node: a hash of the owning subject and the node's fact set, so
     * duplicate source records of the same entity mint the *same* new node.
     */
-  private val mintRId = udf((subject: String, facts: Seq[String]) =>
-    subject + "#r:" + Schema.mintKgId(subject + "|" + facts.sorted.mkString("§")).drop(3).take(8))
+  private def mintRId(subject: String, facts: Set[String]): String =
+    subject + "#r:" + Schema.mintKgId(subject + "|" + facts.toSeq.sorted.mkString("§")).drop(3).take(8)
 
-  /** Match source relationship nodes to KG relationship nodes of the same
-    * (subject, predicate): a pair merges when the intersection of their
-    * (r_predicate, obj) fact sets is "sufficient" — at least 2 shared
-    * facts, or every fact of the smaller node is shared. Returns the
-    * source composite rows with their `r_id` rewritten (to the matched KG
-    * node, or to a minted deterministic id).
+  /** The node a source node with fact set `facts` merges into, among
+    * `nodes` (r_id → fact set) of the same (subject, predicate): a pair
+    * merges when the intersection of their fact sets is "sufficient" — at
+    * least 2 shared facts, or every fact of the smaller node is shared.
+    * The best sufficient node shares the most facts, then has the
+    * smallest `r_id`.
     */
-  def alignRelationshipNodes(kgComposite: DataFrame, srcComposite: DataFrame): DataFrame = {
-    def nodes(df: DataFrame, ridAs: String, factsAs: String): DataFrame =
-      df.groupBy(col(Schema.Subject), col(Schema.Predicate), col(Schema.RId).as(ridAs))
-        .agg(collect_set(concat_ws("=", col(Schema.RPredicate), col(Schema.Obj))).as(factsAs))
+  private def bestMatch(nodes: Map[String, Set[String]], facts: Set[String]): Option[String] =
+    nodes.toSeq
+      .map { case (rid, other) => (rid, facts.intersect(other).size, other.size) }
+      .filter { case (_, shared, size) => shared >= 1 && shared >= math.min(2, math.min(facts.size, size)) }
+      .sortBy { case (rid, shared, _) => (-shared, rid) }(Ordering.Tuple2(Ordering.Int, CorrelationClustering.sparkOrder))
+      .headOption.map(_._1)
 
-    val src = nodes(srcComposite, "srcRId", "srcFacts")
-    val kg  = nodes(kgComposite,  "kgRId",  "kgFacts")
-
-    val cand = src.join(kg, Seq(Schema.Subject, Schema.Predicate), "left")
-      .withColumn("inter", when(col("kgRId").isNull, lit(0))
-        .otherwise(size(array_intersect(col("srcFacts"), col("kgFacts")))))
-      .withColumn("minSize", when(col("kgRId").isNull, lit(0))
-        .otherwise(least(size(col("srcFacts")), size(col("kgFacts")))))
-      .withColumn("ok", col("inter") >= least(lit(2), col("minSize")) && col("inter") >= 1)
-
-    val best = cand
-      .withColumn("rk", row_number().over(
-        Window.partitionBy(Schema.Subject, Schema.Predicate, "srcRId")
-          .orderBy(col("ok").desc, col("inter").desc, col("kgRId").asc_nulls_last)))
-      .filter(col("rk") === 1)
-      .select(col(Schema.Subject), col(Schema.Predicate), col("srcRId"), col("srcFacts"),
-              when(col("ok"), col("kgRId")).as("matchedRId"))
-
-    srcComposite
-      .join(best.withColumnRenamed("srcRId", Schema.RId),
-            Seq(Schema.Subject, Schema.Predicate, Schema.RId))
-      .withColumn("__newRId",
-        coalesce(col("matchedRId"), mintRId(col(Schema.Subject), col("srcFacts"))))
-      .drop(Schema.RId, "matchedRId", "srcFacts")
-      .withColumnRenamed("__newRId", Schema.RId)
-      .select(Schema.columns.map(col): _*)
+  /** Align the relationship nodes of one (subject, predicate) group. `rows`
+    * are canonical composite rows with a trailing batch index: 0 for the
+    * KG, then the incoming batches in order. Each batch's nodes (rows
+    * sharing an `r_id`, as a set of `r_predicate=obj` facts) match the
+    * KG's nodes plus the aligned nodes of the batches before it
+    * ([[bestMatch]]); a node with no match mints a deterministic `r_id`.
+    * Returns every row without the batch index, batch rows re-keyed.
+    */
+  private def alignGroup(subject: String, rows: Iterator[Row]): Seq[Row] = {
+    def fact(r: Row): String = Seq(r.getString(3), r.getString(4)).filter(_ != null).mkString("=")
+    def nodeFacts(rs: Seq[Row]): Map[String, Set[String]] =
+      rs.groupMapReduce(_.getString(2))(r => Set(fact(r)))(_ ++ _)
+    def withRId(r: Row, rid: String): Row = Row.fromSeq(r.toSeq.take(Schema.columns.size).updated(2, rid))
+    val batches = rows.toSeq.groupBy(_.getInt(Schema.columns.size))
+    val kg = batches.getOrElse(0, Seq.empty).map(r => withRId(r, r.getString(2)))
+    (batches - 0).toSeq.sortBy(_._1).foldLeft(kg) { case (done, (_, batch)) =>
+      val nodes = nodeFacts(done)
+      val rid = nodeFacts(batch).map { case (srcRId, facts) =>
+        srcRId -> bestMatch(nodes, facts).getOrElse(mintRId(subject, facts))
+      }
+      done ++ batch.map(r => withRId(r, rid(r.getString(2))))
+    }
   }
 
   /** Fuse linked, object-resolved batches into the KG (stable facts only)
-    * in one pass, the sync point of construction. Each batch's relationship
-    * nodes align, in order, against the KG's nodes plus the aligned nodes
-    * of the batches before it; one [[consolidate]] then fuses every row,
-    * simple and composite (the fact key separates them by `r_id`). This
-    * equals `fuse(fuse(kg, a), b)`: consolidation is associative per fact
-    * key (max trust per source, then noisy-or) and keeps each node's fact
-    * set, so `b` aligns against the same node fact sets either way.
+    * in one pass, the sync point of construction. The relationship nodes
+    * of every (subject, predicate) align in one group, batch after batch
+    * in order (see [[alignGroup]]); one [[consolidate]] then fuses every
+    * row, simple and composite (the fact key separates them by `r_id`).
+    * This equals `fuse(fuse(kg, a), b)`: consolidation is associative per
+    * fact key (max trust per source, then noisy-or) and keeps each node's
+    * fact set, so `b` aligns against the same node fact sets either way.
     */
   def fuse(kg: DataFrame, incoming: DataFrame*): DataFrame = {
-    val kgComp = kg.filter(col(Schema.RId).isNotNull)
-    val aligned = incoming.foldLeft(Seq.empty[DataFrame]) { (done, in) =>
-      done :+ alignRelationshipNodes(done.foldLeft(kgComp)(_ unionByName _), in.filter(col(Schema.RId).isNotNull))
-    }
-    consolidate((incoming.map(_.filter(col(Schema.RId).isNull)) ++ aligned).foldLeft(kg)(_ unionByName _))
+    val spark = kg.sparkSession
+    import spark.implicits._
+    val all = (kg +: incoming).map(Schema.canonicalize)
+    val composite = all.zipWithIndex
+      .map { case (df, i) => df.filter(col(Schema.RId).isNotNull).withColumn("__batch", lit(i)) }
+      .reduce(_ unionByName _)
+    val aligned = composite
+      .groupByKey(r => (r.getString(0), r.getString(1)))
+      .flatMapGroups((key, rows) => alignGroup(key._1, rows))(
+        Encoders.row(StructType(composite.schema.dropRight(1))))
+    consolidate(all.map(_.filter(col(Schema.RId).isNull)).reduce(_ unionByName _).unionByName(aligned))
   }
 
   /** Remove `source` from the provenance of all facts of the given KG
@@ -127,10 +130,12 @@ object Fusion {
     * payloads). Facts left with no remaining provenance are dropped; the
     * non-destructive contract is honoured because deletion is driven by
     * the provenance arrays themselves (on-demand data deletion, §1.2).
+    * The subjects are bounded by the payload, so they are broadcast and
+    * the KG is not shuffled.
     */
   def retractSource(kg: DataFrame, source: String, subjects: DataFrame): DataFrame = {
-    val marked = kg.join(subjects.select(col("subject").as(Schema.Subject)).distinct()
-                           .withColumn("__hit", lit(true)),
+    val marked = kg.join(broadcast(subjects.select(col("subject").as(Schema.Subject)).distinct()
+                                     .withColumn("__hit", lit(true))),
                          Seq(Schema.Subject), "left")
     val zipped = arrays_zip(col(Schema.Sources), col(Schema.Trust))
     val kept = filter(zipped, _.getField(Schema.Sources) =!= lit(source))

@@ -1,6 +1,6 @@
 package repro.construct
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 import repro.core.{Dataflow, Ontology, Schema}
 
@@ -61,8 +61,8 @@ object Linking {
   }
 
   final case class LinkResult(
-      /** srcId → kgId for every incoming source entity. */
-      links: DataFrame,
+      /** srcId → kgId for every incoming source entity, local to the driver. */
+      links: Seq[(String, String)],
       /** same_as provenance triples (kgId, same_as, srcId). */
       sameAs: DataFrame,
   )
@@ -85,50 +85,31 @@ object Linking {
 
     val srcRecs = toRecords(sourceTriples, isKg = false)
     val kgRecs  = toRecords(kgViewTriples, isKg = true)
-    val all = srcRecs.union(kgRecs)
-    val allDf = Dataflow.pin(all.toDF())
+    val all = Dataflow.pin(srcRecs.union(kgRecs).toDF()).as[Matching.Rec]
 
-    // Blocking + pair generation over the combined payload. Pairs of two
-    // existing KG entities are pruned up front: construction never merges
+    // The few oversized block keys are collected first; blocking, pair
+    // scoring and the edge collect are then one plan. Pairs of two
+    // existing KG entities are never scored: construction never merges
     // two KG entities (resolution keeps ≤1 per cluster), so scoring them
-    // every batch would make delta consumption scale with |KG| instead of
-    // |delta|.
-    val srcIds = allDf.filter(!col("isKg")).select(col("id"))
-    val allPairs = Blocking.candidatePairs(
-      Blocking.blocks(allDf.select("id", "etype", "name", "aliases"), MaxBlockSize))
-    val pairs = allPairs
-      .join(srcIds.withColumnRenamed("id", "id1"), Seq("id1"), "left_semi")
-      .unionByName(allPairs.join(srcIds.withColumnRenamed("id", "id2"), Seq("id2"), "left_semi"))
-      .dropDuplicates("id1", "id2")
-
-    // Score pairs with the matching model.
-    val r1 = allDf.select(col("id").as("id1"), struct(allDf.columns.map(col): _*).as("r1"))
-    val r2 = allDf.select(col("id").as("id2"), struct(allDf.columns.map(col): _*).as("r2"))
-    val m = model
-    val scored = pairs.join(r1, Seq("id1")).join(r2, Seq("id2"))
-      .select(col("r1").as("_1"), col("r2").as("_2"))
-      .as[(Matching.Rec, Matching.Rec)]
-      .map { case (a, b) =>
-        val p = if (a.isKg && b.isKg) 0.0 else m.prob(a, b)
-        (a.id, b.id, p)
-      }
-      .toDF("a", "b", "prob")
-
+    // every batch would make delta consumption scale with |KG| instead
+    // of |delta|.
+    //
     // Resolution only needs the *active* subgraph: incoming source
     // records plus the KG records they share a decisive edge with. KG
     // entities untouched by the payload cannot change cluster — skipping
     // them is what makes delta consumption cheap as the KG grows (§2.4).
-    // The pair plan runs once, for this collect; resolution is local.
-    val edges = scored
-      .filter(col("prob") >= PosThr || col("prob") <= NegThr)
-      .select(col("a"), col("b"),
-              when(col("prob") >= PosThr, 1).otherwise(-1).as("sign"),
-              col("prob").as("score"))
-      .as[CorrelationClustering.Edge].collect().toSeq
-    val links = CorrelationClustering.resolve(srcIds.as[String].collect().toSeq, edges, Seed)
-      .toDF("srcId", "kgId")
+    val m = model
+    val oversized = Blocking.oversizedKeys(all, MaxBlockSize).collect().toSet
+    val edges = Blocking.pairs(all, oversized) { (a, b) =>
+      val p = m.prob(a, b)
+      if (p >= PosThr) Some(CorrelationClustering.Edge(a.id, b.id, 1, p))
+      else if (p <= NegThr) Some(CorrelationClustering.Edge(a.id, b.id, -1, p))
+      else None
+    }.collect().toSeq
+    val srcIds = all.filter(!$"isKg").map(_.id).collect().toSeq
+    val links = CorrelationClustering.resolve(srcIds, edges, Seed)
 
-    val sameAs = links.select(
+    val sameAs = links.toDF("srcId", "kgId").select(
       col("kgId").as(Schema.Subject),
       lit(Ontology.SameAs).as(Schema.Predicate),
       lit(null: String).as(Schema.RId), lit(null: String).as(Schema.RPredicate),
@@ -141,12 +122,16 @@ object Linking {
 
   /** Rewrite the subjects of linked source triples into the KG namespace.
     * Every source subject must have a link (linking is total over the
-    * payload); the inner join enforces it.
+    * payload); the inner join enforces it. The links are bounded by the
+    * payload, so they are broadcast and the triples are not shuffled.
     */
-  def rewriteSubjects(sourceTriples: DataFrame, links: DataFrame): DataFrame =
+  def rewriteSubjects(sourceTriples: DataFrame, links: Seq[(String, String)]): DataFrame = {
+    val spark = sourceTriples.sparkSession
+    import spark.implicits._
     Schema.canonicalize(
       sourceTriples
-        .join(links.withColumnRenamed("srcId", Schema.Subject), Seq(Schema.Subject))
+        .join(broadcast(links.toDF(Schema.Subject, "kgId")), Seq(Schema.Subject))
         .drop(Schema.Subject)
         .withColumnRenamed("kgId", Schema.Subject))
+  }
 }

@@ -27,10 +27,14 @@ object Importance {
       .select(col(Schema.Subject).as("src"), col(Schema.Obj).as("dst"))
       .distinct()
 
+  /** Entity ids of the KG: every subject. */
+  private def nodes(triples: DataFrame): DataFrame =
+    triples.select(col(Schema.Subject).as("id")).distinct()
+
   /** In/out degree per entity (nodes with no edges get zeroes). */
-  def degrees(triples: DataFrame): DataFrame = {
-    val e = edges(triples)
-    val nodes = triples.select(col(Schema.Subject).as("id")).distinct()
+  def degrees(triples: DataFrame): DataFrame = degrees(edges(triples), nodes(triples))
+
+  private def degrees(e: DataFrame, nodes: DataFrame): DataFrame = {
     val outD = e.groupBy(col("src").as("id")).agg(count("*").as("outDegree"))
     val inD  = e.groupBy(col("dst").as("id")).agg(count("*").as("inDegree"))
     nodes.join(outD, Seq("id"), "left").join(inD, Seq("id"), "left")
@@ -45,12 +49,16 @@ object Importance {
       .select(col(Schema.Subject).as("id"), explode(col(Schema.Sources)).as("src"))
       .groupBy("id").agg(countDistinct("src").as("identities"))
 
+  private val Damping = 0.85
+
   /** Power-iteration PageRank over the entity graph (dangling mass is
     * redistributed uniformly). Returns (id, pagerank) summing to ~1.
     */
-  def pagerank(triples: DataFrame, iterations: Int = 10, damping: Double = 0.85): DataFrame = {
-    val e = Dataflow.pin(edges(triples))
-    val nodes = Dataflow.pin(triples.select(col(Schema.Subject).as("id")).distinct())
+  def pagerank(triples: DataFrame, iterations: Int = 10, damping: Double = Damping): DataFrame =
+    pagerank(Dataflow.pin(edges(triples)), Dataflow.pin(nodes(triples)), iterations, damping)
+
+  /** PageRank over pinned edges and nodes, which every iteration reads. */
+  private def pagerank(e: DataFrame, nodes: DataFrame, iterations: Int, damping: Double): DataFrame = {
     val n = nodes.count().toDouble
     if (n == 0) return nodes.withColumn("pagerank", lit(0.0))
     val outDeg = e.groupBy(col("src").as("id")).agg(count("*").as("deg"))
@@ -73,14 +81,17 @@ object Importance {
     ranks.withColumnRenamed("rank", "pagerank")
   }
 
-  /** The importance view: all four metrics plus the aggregate score. The
+  /** The importance view: all four metrics plus the aggregate score.
+    * Degrees and PageRank read one pin of the edges and nodes, and the
     * joined metrics are pinned once, so the maxima and every consumer of
     * the view read them instead of recomputing degrees and PageRank.
     */
   def importanceView(triples: DataFrame, prIterations: Int = 10): DataFrame = {
-    val d = degrees(triples)
+    val e = Dataflow.pin(edges(triples))
+    val ns = Dataflow.pin(nodes(triples))
+    val d = degrees(e, ns)
     val ids = identities(triples)
-    val pr = pagerank(triples, prIterations)
+    val pr = pagerank(e, ns, prIterations, Damping)
     val joined = Dataflow.pin(d.join(ids, Seq("id"), "left").join(pr, Seq("id"), "left")
       .na.fill(0L, Seq("identities")).na.fill(0.0, Seq("pagerank")))
     val maxes = joined.agg(

@@ -2,6 +2,7 @@ package repro.ingest
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.core.Dataflow
 
 /** Eager delta computation (§2.2/§2.4). When an upstream provider
   * publishes a new version, the ingestion pipeline splits source entities
@@ -39,30 +40,29 @@ object Delta {
     *
     * `added`/`updated` carry the full current rows (they flow into
     * construction); `deleted` carries the previous rows (construction
-    * needs the old payload to retract provenance).
+    * needs the old payload to retract provenance). The three are filters
+    * of one full outer join of the whole rows on the id, which is unique
+    * per snapshot (`EntityTransform`'s integrity checks), materialized
+    * here: the ingestion platform computes deltas eagerly (§2.4).
     */
   def compute(prev: DataFrame, cur: DataFrame, idCol: String = "id",
               volatileCols: Set[String] = Set("volatile")): SourceDelta = {
     require(prev.columns.sorted.sameElements(cur.columns.sorted),
       s"snapshot schemas differ: ${prev.columns.sorted.toSeq} vs ${cur.columns.sorted.toSeq}")
 
-    val p = prev.withColumn("__h", stableHash(prev, idCol, volatileCols))
-    val c = cur.withColumn("__h", stableHash(cur, idCol, volatileCols))
-
-    val pk = p.select(col(idCol).as("__pid"), col("__h").as("__ph"))
-    val ck = c.select(col(idCol).as("__cid"), col("__h").as("__ch"))
-    val j = pk.join(ck, pk("__pid") === ck("__cid"), "full_outer")
-
-    val addedIds   = j.filter(col("__pid").isNull).select(col("__cid").as(idCol))
-    val deletedIds = j.filter(col("__cid").isNull).select(col("__pid").as(idCol))
-    val updatedIds = j.filter(col("__pid").isNotNull && col("__cid").isNotNull &&
-                              col("__ph") =!= col("__ch"))
-                      .select(col("__cid").as(idCol))
+    // Each side's columns, its stable hash included, get the side's prefix.
+    def side(df: DataFrame, tag: String) =
+      df.withColumn("__h", stableHash(df, idCol, volatileCols)).toDF((df.columns :+ "__h").map(tag + _): _*)
+    def c(name: String) = col(s"`$name`")
+    def rows(df: DataFrame, tag: String) = df.columns.map(n => c(tag + n).as(n))
+    val (pid, cid) = (c("__p_" + idCol), c("__c_" + idCol))
+    val j = Dataflow.pin(side(prev, "__p_").join(side(cur, "__c_"), pid === cid, "full_outer"))
 
     SourceDelta(
-      added        = cur.join(addedIds,   Seq(idCol), "left_semi"),
-      deleted      = prev.join(deletedIds, Seq(idCol), "left_semi"),
-      updated      = cur.join(updatedIds, Seq(idCol), "left_semi"),
+      added        = j.filter(pid.isNull && cid.isNotNull).select(rows(cur, "__c_"): _*),
+      deleted      = j.filter(cid.isNull && pid.isNotNull).select(rows(prev, "__p_"): _*),
+      updated      = j.filter(pid.isNotNull && cid.isNotNull && c("__p___h") =!= c("__c___h"))
+                      .select(rows(cur, "__c_"): _*),
       volatileDump = cur.select((idCol +: volatileCols.toSeq.sorted.filter(cur.columns.contains)).map(col): _*),
     )
   }

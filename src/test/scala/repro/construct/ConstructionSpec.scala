@@ -187,6 +187,20 @@ class ConstructionSpec extends SparkSpec {
     assert(fused.contains((Ontology.SameAs, orphan)))
   }
 
+  test("consuming an onboarding payload again leaves one link per srcId, deterministically") {
+    import spark.implicits._
+    // As in op-log replay: every record of the payload is linked anew
+    // while the link table already holds it.
+    val replay = bootPayloads.head
+    def linkTable(): Seq[(String, String)] =
+      Construction.consume(state0, replay, model, runTruthDiscovery = false)._1
+        .links.as[(String, String)].collect().toSeq.sorted
+    val first = linkTable()
+    assert(first.map(_._1).distinct.size == first.size)
+    assert(first.map(_._1).toSet == linkPairs.keySet)
+    assert(linkTable() == first)
+  }
+
   test("fullRebuild equals bootstrap construction on the same payloads") {
     val rebuilt = Construction.fullRebuild(spark, bootPayloads, model)
     assert(rebuilt.factCount() == state0.factCount())

@@ -52,6 +52,41 @@ class FusionSpec extends SparkSpec {
     assert(out.getSeq[Double](out.fieldIndex("trust")) == Seq(0.9)) // max kept
   }
 
+  test("consolidate matches the DuckDB two-level GROUP BY row for row (property)") {
+    // Few fact keys and sources, so keys repeat across rows and a source
+    // repeats within a key (and within one row) with different trust.
+    val row = for {
+      s     <- Gen.oneOf("kg:1", "kg:2")
+      o     <- Gen.oneOf("Alpha", "Beta")
+      rid   <- Gen.option(Gen.const("kg:1#r0"))
+      loc   <- Gen.option(Gen.const("en"))
+      n     <- Gen.choose(1, 3)
+      srcs  <- Gen.listOfN(n, Gen.oneOf("a", "b", "c"))
+      trust <- Gen.listOfN(n, Gen.oneOf(0.5, 0.7, 0.8, 0.9))
+    } yield (s, "name", rid.orNull, rid.map(_ => "school").orNull, o, loc.orNull, srcs, trust, 0.0)
+    val keyCols = Schema.factKey.map(col)
+    Props.check(Prop.forAllNoShrink(Gen.choose(1, 12).flatMap(Gen.listOfN(_, row))) { rows =>
+      val exploded = rows.flatMap { case (s, p, ri, rp, o, loc, srcs, trust, _) =>
+        srcs.zip(trust).map { case (src, t) => (s, p, ri, rp, o, loc, src, t.toString) }
+      }.toDF(Schema.factKey :+ "src" :+ "trust": _*)
+      Oracle.assertEquivalent(
+        Fusion.consolidate(Schema.fromTuples(spark, rows)).select(keyCols ++ Seq(
+          concat_ws(",", col(Schema.Sources)).as("srcs"),
+          concat_ws(",", col(Schema.Trust).cast("array<string>")).as("trusts"),
+          col(Schema.Conf)): _*),
+        """SELECT subject, predicate, r_id, r_predicate, obj, locale,
+                  string_agg(src, ',' ORDER BY src) AS srcs,
+                  string_agg(CAST(t AS VARCHAR), ',' ORDER BY src) AS trusts,
+                  round(1 - product(1 - t), 6) AS conf
+           FROM (SELECT subject, predicate, r_id, r_predicate, obj, locale, src,
+                        max(CAST(trust AS DOUBLE)) AS t
+                 FROM st GROUP BY subject, predicate, r_id, r_predicate, obj, locale, src)
+           GROUP BY subject, predicate, r_id, r_predicate, obj, locale""",
+        "st" -> exploded)
+      true
+    }, minTests = 20)
+  }
+
   // ----------------------------------------------------------------- fuse
   test("fuse implements outer-join semantics for simple facts") {
     val kg = Schema.fromTuples(spark, Seq(

@@ -31,7 +31,7 @@ class LinkingSpec extends SparkSpec {
     Linking.run(srcTriples(), kgTriples(), Matching.defaultModel(None))
 
   private lazy val links: Map[String, String] =
-    result.links.as[(String, String)].collect().toMap
+    result.links.toMap
 
   test("toRecords consolidates triples into entity records") {
     val recs = Linking.toRecords(srcTriples(), isKg = false).collect()
@@ -77,7 +77,7 @@ class LinkingSpec extends SparkSpec {
     assert(z.startsWith(Schema.KgNs) && z != "kg:aaa" && z != "kg:bbb")
     // deterministic: a rerun mints the same id
     val rerun = Linking.run(srcTriples(), kgTriples(), Matching.defaultModel(None))
-    assert(rerun.links.as[(String, String)].collect().toMap.apply("w:3") == z)
+    assert(rerun.links.toMap.apply("w:3") == z)
   }
 
   test("same_as facts record source→KG provenance of the linking") {
@@ -96,7 +96,7 @@ class LinkingSpec extends SparkSpec {
     val src = Schema.fromTuples(spark, Seq(
       t("w:5", "type", "person"), t("w:5", "name", "Twin Name")))
     val res = Linking.run(src, kg, Matching.defaultModel(None))
-    val kgId = res.links.as[(String, String)].collect().head._2
+    val kgId = res.links.head._2
     assert(Set("kg:x1", "kg:x2").contains(kgId)) // linked to exactly one of them
   }
 
@@ -113,7 +113,7 @@ class LinkingSpec extends SparkSpec {
     val src = Schema.fromTuples(spark, Seq(
       t("w:7", "type", "person"), t("w:7", "name", "Zelda Quinn")))
     val res = Linking.run(src, kg, Matching.defaultModel(None))
-    val id = res.links.as[(String, String)].collect().head._2
+    val id = res.links.head._2
     assert(id != "kg:m")
   }
 }
