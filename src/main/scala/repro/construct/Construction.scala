@@ -59,6 +59,13 @@ object Construction {
       volatileDump: DataFrame,
   )
 
+  /** What one consume did.
+    * @param source            the consumed source
+    * @param linkedNew         source entities linked anew (Added, and Updated with no prior link)
+    * @param reusedLinks       Updated source entities whose prior link was looked up
+    * @param retractedSubjects KG entities whose facts from this source were retracted
+    * @param fusedFacts        Added and Updated rows fused: those whose subject is linked afterwards
+    */
   final case class Stats(source: String, linkedNew: Long, reusedLinks: Long,
                          retractedSubjects: Long, fusedFacts: Long)
 
@@ -73,14 +80,12 @@ object Construction {
     import spark.implicits._
 
     // The driver inputs are bounded by the payload, so one collect gathers
-    // them: the subjects of updated and deleted records, and the types of
-    // added and updated records. Known links are a filter of the link
-    // table; each lookup feeds both the plans below and `Stats`.
-    def typed(triples: DataFrame, kind: String) = triples.select(lit(kind), col(Schema.Subject),
-      when(col(Schema.Predicate) === Ontology.TypePred, col(Schema.Obj)))
-    val inputs = typed(payload.added.filter(col(Schema.Predicate) === Ontology.TypePred), "a")
-      .union(typed(payload.updated, "u")).union(typed(payload.deleted, "d"))
-      .as[(String, String, Option[String])].collect().toSeq.distinct
+    // (kind, subject, type?) per payload row: the types to link, the link
+    // lookups and every `Stats` field come from it and the local links.
+    val isType = col(Schema.Predicate) === Ontology.TypePred
+    val inputs = Seq("a" -> payload.added, "u" -> payload.updated, "d" -> payload.deleted)
+      .map { case (k, t) => t.select(lit(k), col(Schema.Subject), when(isType, col(Schema.Obj))) }
+      .reduce(_ union _).as[(String, String, Option[String])].collect().toSeq
     def subjects(kind: String) = inputs.collect { case (`kind`, s, _) => s }.distinct
     val (updIds, delIds) = (subjects("u"), subjects("d"))
     val known: Map[String, String] =
@@ -119,16 +124,13 @@ object Construction {
     // ------------------------------------------------- fusion sync point
     // Retract this source's prior contribution for updated+deleted
     // subjects, then fuse the new payloads and the same_as provenance in
-    // one pass. Materialize the payload dataflows at the sync point so the
-    // fusion plan is shallow (deep composite plans degrade Catalyst's
-    // size-estimation into unbounded BigInteger arithmetic). `sameAs` is
-    // a projection of linking's local link table and needs no barrier.
-    // Truth discovery reads the fused KG three times, so it gets a pin.
-    val addReady = Dataflow.pin(addPayload)
-    val updReady = Dataflow.pin(updPayload)
+    // one pass. The payloads feed only this plan, and each is a broadcast
+    // join of a payload with a driver-local link table (`sameAs` is a
+    // projection of one), so the plan stays shallow without a barrier.
+    // Only the fused KG is pinned: truth discovery reads it three times.
     val fused = Fusion.fuse(
       Fusion.retractSource(state.stable, payload.source, retractSubjects.toDF("subject")),
-      addReady.unionByName(sameAs), updReady)
+      addPayload.unionByName(sameAs), updPayload)
     val newStable = if (runTruthDiscovery) Fusion.truthDiscovery(Dataflow.pin(fused)) else fused
 
     // ------------------------------------------------------ link table
@@ -148,11 +150,12 @@ object Construction {
     val newVolatile = Fusion.overwriteVolatilePartition(
       state.volatile, payload.source, Schema.canonicalize(dumpLinked))
 
+    val newIds = newLinks.map(_._1).toSet
     val next = KGState(newStable, newVolatile, allLinks).materialized
     val stats = Stats(payload.source,
       linkedNew = newLinks.size, reusedLinks = updLinks.size,
       retractedSubjects = retractSubjects.size,
-      fusedFacts = addReady.count() + updReady.count())
+      fusedFacts = inputs.count { case (k, s, _) => k != "d" && (newIds(s) || k == "u" && known.contains(s)) })
     (next, stats)
   }
 

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
@@ -88,6 +88,9 @@ object Schema {
     require(missing.isEmpty, s"not an extended-triples relation; missing: $missing")
     df.select(columns.map(col): _*)
   }
+
+  /** `pred.r_predicate` for a composite fact, `pred` for a simple one (`concat_ws` skips nulls). */
+  def flatPredicate: Column = concat_ws(".", col(Predicate), col(RPredicate))
 
   /** Key columns identifying a fact for fusion joins: a fact is the same
     * fact iff subject, predicate, relationship slot, object and locale all

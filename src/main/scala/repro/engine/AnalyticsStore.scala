@@ -36,7 +36,7 @@ object AnalyticsStore {
       .agg(min(Schema.Obj).as("v"))
     val composite = triples.filter(col(Schema.RId).isNotNull)
       .select(col(Schema.Subject),
-              concat_ws(".", col(Schema.Predicate), col(Schema.RPredicate)).as(Schema.Predicate),
+              Schema.flatPredicate.as(Schema.Predicate),
               col(Schema.Obj))
       .groupBy(col(Schema.Subject), col(Schema.Predicate))
       .agg(min(Schema.Obj).as("v"))

@@ -69,7 +69,7 @@ object IncrementalExperiment {
     }
 
     // Volatile: partition overwrite vs join-based merge of the same dump.
-    val kgVol = repro.core.Dataflow.pin(state0.volatile)
+    val kgVol = state0.volatile
     val src = sources.head.name
     val dump = kgVol.filter(array_contains(col(Schema.Sources), src))
       .withColumn(Schema.Obj, concat(col(Schema.Obj), lit("0")))

@@ -71,8 +71,8 @@ object KgBuilders {
     val delta = prev match {
       case Some((prevSrc, pe)) =>
         val prevRows = SynthKG.recordsToRows(spark, SynthKG.sourceRecords(u, prevSrc, pe, maxEpoch))
-        Delta.compute(prevRows, cur, "id", Set("volatile"))
-      case None => Delta.bootstrap(cur, "id", Set("volatile"))
+        Delta.compute(prevRows, cur, Set("volatile"))
+      case None => Delta.bootstrap(cur, Set("volatile"))
     }
     repro.construct.Construction.SourcePayload(
       source = src.name,

@@ -27,12 +27,14 @@ object Delta {
     def counts(): (Long, Long, Long) = (added.count(), deleted.count(), updated.count())
   }
 
+  private val IdCol = "id" // the entity id column `Alignment.align` emits
+
   /** Stable-payload fingerprint: hash of every column except the id and
     * the volatile columns. Column order is fixed (sorted) so the hash does
     * not depend on projection order.
     */
-  def stableHash(df: DataFrame, idCol: String, volatileCols: Set[String]) = {
-    val stable = df.columns.filterNot(c => c == idCol || volatileCols.contains(c)).sorted
+  private def stableHash(df: DataFrame, volatileCols: Set[String]) = {
+    val stable = df.columns.filterNot(c => c == IdCol || volatileCols.contains(c)).sorted
     sha2(to_json(struct(stable.map(col): _*)), 256)
   }
 
@@ -45,17 +47,16 @@ object Delta {
     * per snapshot (`EntityTransform`'s integrity checks), materialized
     * here: the ingestion platform computes deltas eagerly (§2.4).
     */
-  def compute(prev: DataFrame, cur: DataFrame, idCol: String = "id",
-              volatileCols: Set[String] = Set("volatile")): SourceDelta = {
+  def compute(prev: DataFrame, cur: DataFrame, volatileCols: Set[String] = Set("volatile")): SourceDelta = {
     require(prev.columns.sorted.sameElements(cur.columns.sorted),
       s"snapshot schemas differ: ${prev.columns.sorted.toSeq} vs ${cur.columns.sorted.toSeq}")
 
     // Each side's columns, its stable hash included, get the side's prefix.
     def side(df: DataFrame, tag: String) =
-      df.withColumn("__h", stableHash(df, idCol, volatileCols)).toDF((df.columns :+ "__h").map(tag + _): _*)
+      df.withColumn("__h", stableHash(df, volatileCols)).toDF((df.columns :+ "__h").map(tag + _): _*)
     def c(name: String) = col(s"`$name`")
     def rows(df: DataFrame, tag: String) = df.columns.map(n => c(tag + n).as(n))
-    val (pid, cid) = (c("__p_" + idCol), c("__c_" + idCol))
+    val (pid, cid) = (c("__p_" + IdCol), c("__c_" + IdCol))
     val j = Dataflow.pin(side(prev, "__p_").join(side(cur, "__c_"), pid === cid, "full_outer"))
 
     SourceDelta(
@@ -63,19 +64,18 @@ object Delta {
       deleted      = j.filter(cid.isNull && pid.isNotNull).select(rows(prev, "__p_"): _*),
       updated      = j.filter(pid.isNotNull && cid.isNotNull && c("__p___h") =!= c("__c___h"))
                       .select(rows(cur, "__c_"): _*),
-      volatileDump = cur.select((idCol +: volatileCols.toSeq.sorted.filter(cur.columns.contains)).map(col): _*),
+      volatileDump = cur.select((IdCol +: volatileCols.toSeq.sorted.filter(cur.columns.contains)).map(col): _*),
     )
   }
 
   /** A brand-new source is modeled as a full Added payload with empty
     * Deleted/Updated partitions (§2.4).
     */
-  def bootstrap(cur: DataFrame, idCol: String = "id",
-                volatileCols: Set[String] = Set("volatile")): SourceDelta =
+  def bootstrap(cur: DataFrame, volatileCols: Set[String] = Set("volatile")): SourceDelta =
     SourceDelta(
       added = cur,
       deleted = cur.limit(0),
       updated = cur.limit(0),
-      volatileDump = cur.select((idCol +: volatileCols.toSeq.sorted.filter(cur.columns.contains)).map(col): _*),
+      volatileDump = cur.select((IdCol +: volatileCols.toSeq.sorted.filter(cur.columns.contains)).map(col): _*),
     )
 }

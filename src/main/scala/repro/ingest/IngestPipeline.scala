@@ -48,8 +48,8 @@ final case class IngestPipeline(
 
     val aligned = Alignment.align(view, alignment)
     val delta = prevSnapshot match {
-      case Some(prev) => Delta.compute(prev, aligned, "id", volatilePreds)
-      case None       => Delta.bootstrap(aligned, "id", volatilePreds)
+      case Some(prev) => Delta.compute(prev, aligned, volatilePreds)
+      case None       => Delta.bootstrap(aligned, volatilePreds)
     }
     def export(df: DataFrame): DataFrame =
       Export.fromWide(df, sourceName, trust, volatilePreds)._1

@@ -89,9 +89,7 @@ object LiveGraph {
     import spark.implicits._
     kg.select(
         col(Schema.Subject),
-        when(col(Schema.RPredicate).isNotNull,
-             concat_ws(".", col(Schema.Predicate), col(Schema.RPredicate)))
-          .otherwise(col(Schema.Predicate)).as("pred"),
+        Schema.flatPredicate.as("pred"),
         col(Schema.Obj))
       .as[(String, String, String)]
       .collect().toSeq

@@ -33,9 +33,7 @@ object Embeddings {
               col(Schema.Predicate) =!= Ontology.SameAs &&
               col(Schema.Subject) =!= col(Schema.Obj))
       .select(col(Schema.Subject),
-              when(col(Schema.RPredicate).isNotNull,
-                   concat_ws(".", col(Schema.Predicate), col(Schema.RPredicate)))
-                .otherwise(col(Schema.Predicate)).as("p"),
+              Schema.flatPredicate.as("p"),
               col(Schema.Obj))
       .distinct()
       .as[(String, String, String)]

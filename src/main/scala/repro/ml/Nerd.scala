@@ -58,9 +58,7 @@ object Nerd {
     val refEdges = kg
       .filter(col(Schema.Obj).startsWith(Schema.KgNs) && col(Schema.Predicate) =!= Ontology.SameAs)
       .select(col(Schema.Subject).as("id"),
-              when(col(Schema.RPredicate).isNotNull,
-                   concat_ws(".", col(Schema.Predicate), col(Schema.RPredicate)))
-                .otherwise(col(Schema.Predicate)).as("pred"),
+              Schema.flatPredicate.as("pred"),
               col(Schema.Obj).as("nbr"))
     val rels = refEdges
       .join(names.select(col("id").as("nbr"), col("primary").as("nbrName")), Seq("nbr"), "left")

@@ -35,6 +35,12 @@ class ConstructionSpec extends SparkSpec {
     state0.links.as[(String, String)].collect().toMap
   }
 
+  // The Added and Updated rows of `p` whose subject is in `links`: the
+  // rows a consume that returns the link table `links` fuses.
+  private def linkedRows(p: Construction.SourcePayload, links: DataFrame): Long =
+    p.added.unionByName(p.updated)
+      .join(links.select(col("srcId").as(Schema.Subject)), Seq(Schema.Subject), "left_semi").count()
+
   test("bootstrap produces a non-empty KG") {
     assert(state0.factCount() > 0)
     assert(state0.entityCount() > 0)
@@ -139,6 +145,9 @@ class ConstructionSpec extends SparkSpec {
       val retracted = (upd ++ linkedSubjects(d.deleted)).map(linkPairs).toSet
       assert(st.reusedLinks == upd.size, st)
       assert(st.retractedSubjects == retracted.size, st)
+      // Sources link disjoint namespaces, so the final link table holds
+      // each source's links as its own consume returned them.
+      assert(st.fusedFacts == linkedRows(d, state1.links), st)
     }
     assert(stats.map(_.reusedLinks).sum > 0 && stats.map(_.retractedSubjects).sum > 0, stats)
   }
@@ -176,7 +185,8 @@ class ConstructionSpec extends SparkSpec {
     val payload = Construction.SourcePayload(srcName,
       added = Schema.emptyTriples(spark), deleted = Schema.emptyTriples(spark),
       updated = updTriples, volatileDump = Schema.emptyTriples(spark))
-    val (state1, _) = Construction.consume(state0, payload, model, runTruthDiscovery = false)
+    val (state1, st) = Construction.consume(state0, payload, model, runTruthDiscovery = false)
+    assert(st.fusedFacts == linkedRows(payload, state1.links), st)
     val kgIds = state1.links.filter(col("srcId") === orphan).select("kgId").as[String].collect()
     assert(kgIds.length == 1 && Schema.isKgId(kgIds.head), kgIds.mkString(","))
     def facts(df: DataFrame): Set[(String, String)] =

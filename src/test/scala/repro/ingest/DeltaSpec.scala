@@ -21,7 +21,7 @@ class DeltaSpec extends SparkSpec {
     ("e4", "Delta", "40", "0.1"),   // new → added
   ).toDF("id", "name", "size", "pop")
 
-  private def delta() = Delta.compute(prev(), cur(), "id", Set("pop"))
+  private def delta() = Delta.compute(prev(), cur(), Set("pop"))
 
   test("added contains entities present only at t_n") {
     assert(delta().added.select("id").as[String].collect().toSet == Set("e4"))
@@ -56,25 +56,25 @@ class DeltaSpec extends SparkSpec {
   }
 
   test("identical snapshots produce empty deltas") {
-    val d = Delta.compute(prev(), prev(), "id", Set("pop"))
+    val d = Delta.compute(prev(), prev(), Set("pop"))
     assert(d.counts() == ((0L, 0L, 0L)))
   }
 
   test("bootstrap is a full Added payload with empty Deleted/Updated (§2.4)") {
-    val d = Delta.bootstrap(cur(), "id", Set("pop"))
+    val d = Delta.bootstrap(cur(), Set("pop"))
     assert(d.added.count() == 3 && d.deleted.count() == 0 && d.updated.count() == 0)
     assert(d.volatileDump.count() == 3)
   }
 
   test("schema mismatch between snapshots is rejected") {
     intercept[IllegalArgumentException] {
-      Delta.compute(prev().drop("pop"), cur(), "id", Set("pop"))
+      Delta.compute(prev().drop("pop"), cur(), Set("pop"))
     }
   }
 
   test("stable hash ignores column order") {
     val reordered = cur().select("pop", "size", "name", "id")
-    val d = Delta.compute(cur(), reordered, "id", Set("pop"))
+    val d = Delta.compute(cur(), reordered, Set("pop"))
     assert(d.counts() == ((0L, 0L, 0L)))
   }
 
@@ -104,7 +104,7 @@ class DeltaSpec extends SparkSpec {
     val p = Seq(("e1", Map("a" -> "1"), Map("pop" -> "0.5"))).toDF("id", "attrs", "volatile")
     val c1 = Seq(("e1", Map("a" -> "2"), Map("pop" -> "0.5"))).toDF("id", "attrs", "volatile")
     val c2 = Seq(("e1", Map("a" -> "1"), Map("pop" -> "0.9"))).toDF("id", "attrs", "volatile")
-    assert(Delta.compute(p, c1, "id", Set("volatile")).updated.count() == 1)
-    assert(Delta.compute(p, c2, "id", Set("volatile")).updated.count() == 0)
+    assert(Delta.compute(p, c1, Set("volatile")).updated.count() == 1)
+    assert(Delta.compute(p, c2, Set("volatile")).updated.count() == 0)
   }
 }
