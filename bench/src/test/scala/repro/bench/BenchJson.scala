@@ -15,14 +15,13 @@ object BenchJson {
     val dirty = git("status", "--porcelain", "--untracked-files=no").exists(_.nonEmpty)
     val all = fields ++ Seq("cores" -> Runtime.getRuntime.availableProcessors,
                             "git_sha" -> (if (dirty) s"$sha-dirty" else sha))
-    val body = all.map { case (k, v) =>
-      val json = v match {
-        case s: String => "\"" + s + "\""
-        case d: Double => f"$d%.3f"
-        case x         => x.toString
-      }
-      s"""  "$k": $json"""
+    def json(v: Any): String = v match {
+      case s: String  => "\"" + s + "\""
+      case d: Double  => f"$d%.3f"
+      case xs: Seq[_] => xs.map(json).mkString("[", ", ", "]")
+      case x          => x.toString
     }
+    val body = all.map { case (k, v) => s"""  "$k": ${json(v)}""" }
     Files.write(Paths.get(s"BENCH_$exp.json"), body.mkString("{\n", ",\n", "\n}\n").getBytes("UTF-8"))
   }
 }

@@ -175,10 +175,11 @@ object Construction {
     */
   def fullRebuild(spark: SparkSession, payloads: Seq[SourcePayload],
                   model: Matching.Model,
-                  obr: DataFrame => DataFrame = identity): KGState = {
+                  obr: DataFrame => DataFrame = identity,
+                  runTruthDiscovery: Boolean = true): KGState = {
     val bootstrapped = payloads.map(p => p.copy(
       added = p.added.unionByName(p.updated),
       deleted = Schema.emptyTriples(spark), updated = Schema.emptyTriples(spark)))
-    consumeAll(KGState.empty(spark), bootstrapped, model, obr)._1
+    consumeAll(KGState.empty(spark), bootstrapped, model, obr, runTruthDiscovery)._1
   }
 }

@@ -108,9 +108,9 @@ object Nerd {
   }
 
   /** Name-token retrieval shared by [[Index]] and [[PopularityBaseline]]:
-    * postings from name and alias tokens to entry indices, and the
-    * candidate order — most name tokens shared with the mention first,
-    * then importance, then id.
+    * postings from name and alias tokens to entry indices, the candidate
+    * order — most name tokens shared with the mention first, then
+    * importance, then id — and each entry's normalized names.
     */
   private final class NameRetrieval(byIdx: Array[EntityEntry]) extends Serializable {
 
@@ -126,18 +126,23 @@ object Nerd {
     private val nameTokens: Array[Set[String]] =
       byIdx.map(_.names.flatMap(StringSim.tokens).toSet)
 
+    /** Each entry's names, normalized once per index. Derived, so it is
+      * rebuilt rather than serialized when the index ships in a closure.
+      */
+    @transient lazy val normalizedNames: Array[Array[String]] =
+      byIdx.map(_.names.map(StringSim.normalize).toArray)
+
     /** Distinct entry indices posted under any of `tokens`. */
     def hits(tokens: Seq[String]): Seq[Int] =
       tokens.flatMap(t => postings.getOrElse(t, Array.empty[Int])).distinct
 
-    /** The best `k` of `hits` for `mention`, best first. */
-    def top(mention: String, hits: Seq[Int], k: Int): Seq[EntityEntry] = {
-      val mentionToks = StringSim.tokens(mention).toSet
+    /** The best `k` of `hits` for a mention with tokens `mentionToks`, best first. */
+    def top(mentionToks: Seq[String], hits: Seq[Int], k: Int): Seq[Int] = {
+      val toks = mentionToks.toSet
       hits
-        .sortBy(i => (-mentionToks.intersect(nameTokens(i)).size,
+        .sortBy(i => (-toks.intersect(nameTokens(i)).size,
                       -byIdx(i).importance, byIdx(i).id))
         .take(k)
-        .map(byIdx)
     }
   }
 
@@ -174,7 +179,12 @@ object Nerd {
         .flatMap(StringSim.tokens).toSet
 
     private val profiles: Array[Set[String]] = byIdx.map(profileTokens)
-    private val idToIdx: Map[String, Int] = byIdx.zipWithIndex.map { case (e, i) => e.id -> i }.toMap
+
+    /** Each entry's names, learned-encoded once per index (rebuilt, not
+      * serialized, like [[NameRetrieval.normalizedNames]]).
+      */
+    @transient private lazy val nameVecs: Array[Array[Array[Double]]] =
+      byIdx.map(_.names.map(encoder.encodeString).toArray)
 
     /** Candidate retrieval (§5.2): token-posting union with vocabulary
       * expansion and an optional admissible-type filter. Truncation to k
@@ -182,22 +192,32 @@ object Nerd {
       * second (the paper's prioritization under resource constraints) —
       * importance alone would evict exact matches of tail entities.
       */
-    def candidates(mention: String, k: Int = 10, typeHint: Option[String] = None): Seq[EntityEntry] = {
-      val hit = nameIndex.hits(StringSim.tokens(mention).flatMap(expandToken).distinct)
+    def candidates(mention: String, k: Int = 10, typeHint: Option[String] = None): Seq[EntityEntry] =
+      candidateIdx(StringSim.tokens(mention), k, typeHint).map(byIdx)
+
+    private def candidateIdx(mentionToks: Seq[String], k: Int, typeHint: Option[String]): Seq[Int] = {
+      val hit = nameIndex.hits(mentionToks.flatMap(expandToken).distinct)
       val typed = typeHint match {
         case Some(th) => hit.filter(i => byIdx(i).types.contains(th))
         case None     => hit
       }
-      nameIndex.top(mention, typed, k)
+      nameIndex.top(mentionToks, typed, k)
     }
 
-    private def nameSim(mention: String, e: EntityEntry): Double =
-      if (e.names.isEmpty) 0.0
-      else e.names.map(n => 0.6 * StringSim.editSim(mention, n) + 0.4 * encoder.sim(mention, n)).max
+    /** Best `0.6 * editSim + 0.4 * encoder.sim` of a mention against entry
+      * `i`'s names, from the mention's normalized form and learned vector.
+      */
+    private def nameSim(normalized: String, vec: Array[Double], i: Int): Double = {
+      val (names, vecs) = (nameIndex.normalizedNames(i), nameVecs(i))
+      if (names.isEmpty) 0.0
+      else names.indices.map(j =>
+        0.6 * StringSim.normalizedEditSim(normalized, names(j)) + 0.4 * StringSim.cosine(vec, vecs(j))).max
+    }
 
-    private def rawScore(mention: String, ctx: Set[String], impNorm: Double => Double)(i: Int): Double = {
+    private def rawScore(normalized: String, vec: Array[Double], ctx: Set[String],
+                         impNorm: Double => Double)(i: Int): Double = {
       val e = byIdx(i)
-      val ns = nameSim(mention, e)
+      val ns = nameSim(normalized, vec, i)
       // Context acts as *additional evidence*, never as a requirement: an
       // unambiguous exact name match must clear a 0.9 threshold even for
       // context-free inputs (object resolution over bare literals), while
@@ -216,12 +236,14 @@ object Nerd {
       */
     def disambiguate(mention: String, context: Seq[String],
                      typeHint: Option[String] = None, k: Int = 10): Option[Prediction] = {
-      val cands = candidates(mention, k, typeHint)
+      val toks = StringSim.tokens(mention)
+      val cands = candidateIdx(toks, k, typeHint)
       if (cands.isEmpty) return None
-      val maxImp = math.max(1e-9, cands.map(_.importance).max)
+      val maxImp = math.max(1e-9, cands.map(byIdx(_).importance).max)
       val ctx = context.flatMap(StringSim.tokens).toSet
+      val (normalized, vec) = (toks.mkString(" "), encoder.encodeTokens(toks))
       val scored = cands
-        .map(e => e.id -> rawScore(mention, ctx, _ / maxImp)(idToIdx(e.id)))
+        .map(i => byIdx(i).id -> rawScore(normalized, vec, ctx, _ / maxImp)(i))
         .sortBy { case (id, s) => (-s, id) }
       val raw1 = scored.head._2
       val raw2 = if (scored.size > 1) scored(1)._2 else 0.0
@@ -244,11 +266,14 @@ object Nerd {
       // overlap), only *ranking among retrieved candidates* leans on
       // popularity/string similarity. What it lacks vs NERD is the
       // relational context of the KG and the learned synonym space.
-      val hits = nameIndex.top(mention, nameIndex.hits(StringSim.tokens(mention)), k)
+      val toks = StringSim.tokens(mention)
+      val hits = nameIndex.top(toks, nameIndex.hits(toks), k)
       if (hits.isEmpty) return None
-      val scored = hits.map { e =>
-        val ns = if (e.names.isEmpty) 0.0 else e.names.map(StringSim.editSim(mention, _)).max
-        e.id -> (0.8 * ns + 0.2 * (e.importance / maxImp))
+      val normalized = toks.mkString(" ")
+      val scored = hits.map { i =>
+        val names = nameIndex.normalizedNames(i)
+        val ns = if (names.isEmpty) 0.0 else names.map(StringSim.normalizedEditSim(normalized, _)).max
+        byIdx(i).id -> (0.8 * ns + 0.2 * (byIdx(i).importance / maxImp))
       }.sortBy { case (id, s) => (-s, id) }
       val raw1 = scored.head._2
       val raw2 = if (scored.size > 1) scored(1)._2 else 0.0

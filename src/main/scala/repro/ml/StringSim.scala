@@ -19,20 +19,39 @@ package repro.ml
   */
 object StringSim {
 
-  /** Normalize: lowercase, strip accents-ish punctuation, collapse spaces. */
-  def normalize(s: String): String =
-    if (s == null) "" else s.toLowerCase.replaceAll("[^a-z0-9 ]", " ").replaceAll("\\s+", " ").trim
+  /** Normalize: lower-case, then keep the runs of `[a-z0-9]` and join them
+    * with single spaces. Every other character — punctuation, whitespace,
+    * accented and non-Latin letters — separates runs and is dropped, so
+    * `"José Müller"` becomes `"jos m ller"`. Idempotent; null gives `""`.
+    */
+  def normalize(s: String): String = tokens(s).mkString(" ")
 
-  def tokens(s: String): Seq[String] = {
-    val n = normalize(s)
-    if (n.isEmpty) Seq.empty else n.split(' ').toSeq
-  }
+  /** The runs of [[normalize]], in order. */
+  def tokens(s: String): Seq[String] =
+    if (s == null) Seq.empty
+    else {
+      val l = s.toLowerCase
+      val out = Seq.newBuilder[String]
+      var i = 0
+      while (i < l.length) {
+        if (isTokenChar(l.charAt(i))) {
+          val from = i
+          while (i < l.length && isTokenChar(l.charAt(i))) i += 1
+          out += l.substring(from, i)
+        } else i += 1
+      }
+      out.result()
+    }
+
+  private def isTokenChar(c: Char): Boolean = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')
 
   // ---------------------------------------------------------------- basics
 
   /** Levenshtein edit distance. */
-  def editDistance(a: String, b: String): Int = {
-    val (x, y) = (normalize(a), normalize(b))
+  def editDistance(a: String, b: String): Int = levenshtein(normalize(a), normalize(b))
+
+  /** Levenshtein distance of two already-normalized strings. */
+  private def levenshtein(x: String, y: String): Int = {
     if (x.isEmpty) return y.length
     if (y.isEmpty) return x.length
     var prev = Array.tabulate(y.length + 1)(identity)
@@ -53,10 +72,12 @@ object StringSim {
   }
 
   /** Edit similarity in [0,1]: 1 - dist / maxLen. */
-  def editSim(a: String, b: String): Double = {
-    val (x, y) = (normalize(a), normalize(b))
+  def editSim(a: String, b: String): Double = normalizedEditSim(normalize(a), normalize(b))
+
+  /** [[editSim]] of two already-normalized strings. */
+  private[ml] def normalizedEditSim(x: String, y: String): Double = {
     val m = math.max(x.length, y.length)
-    if (m == 0) 1.0 else 1.0 - editDistance(x, y).toDouble / m
+    if (m == 0) 1.0 else 1.0 - levenshtein(x, y).toDouble / m
   }
 
   /** Token-set Jaccard similarity. */
@@ -68,10 +89,10 @@ object StringSim {
   }
 
   /** Character q-grams of the padded, normalized string. */
-  def qgrams(s: String, q: Int = 3): Seq[String] = {
-    val n = "#" * (q - 1) + normalize(s) + "#" * (q - 1)
-    if (normalize(s).isEmpty) Seq.empty else n.sliding(q).toSeq
-  }
+  def qgrams(s: String, q: Int = 3): Seq[String] = normalizedQgrams(normalize(s), q)
+
+  private def normalizedQgrams(n: String, q: Int): Seq[String] =
+    if (n.isEmpty) Seq.empty else ("#" * (q - 1) + n + "#" * (q - 1)).sliding(q).toSeq
 
   /** Jaccard over q-gram sets — the blocking-friendly typo-tolerant sim. */
   def qgramJaccard(a: String, b: String, q: Int = 3): Double = {
@@ -87,9 +108,12 @@ object StringSim {
   val Dim = 256
 
   /** Encode a single token as an L2-normalized hashed char-n-gram vector. */
-  def encodeToken(tok: String): Array[Double] = {
+  def encodeToken(tok: String): Array[Double] = encodeNormalizedToken(normalize(tok))
+
+  /** [[encodeToken]] of an already-normalized token. */
+  private def encodeNormalizedToken(tok: String): Array[Double] = {
     val v = new Array[Double](Dim)
-    qgrams(tok, 3).foreach { g =>
+    normalizedQgrams(tok, 3).foreach { g =>
       val h = math.abs(g.hashCode) % Dim
       v(h) += 1.0
     }
@@ -97,7 +121,7 @@ object StringSim {
   }
 
   /** Encode a full string as the normalized mean of its token encodings. */
-  def encode(s: String): Array[Double] = meanVec(tokens(s).map(encodeToken))
+  def encode(s: String): Array[Double] = meanVec(tokens(s).map(encodeNormalizedToken))
 
   def l2normalize(v: Array[Double]): Array[Double] = {
     val n = math.sqrt(v.map(x => x * x).sum)
@@ -136,8 +160,11 @@ object StringSim {
     */
   final class LearnedEncoder(val tokenTable: Map[String, Array[Double]]) extends Serializable {
 
-    def encodeString(s: String): Array[Double] =
-      meanVec(tokens(s).map(t => tokenTable.getOrElse(t, encodeToken(t))))
+    def encodeString(s: String): Array[Double] = encodeTokens(tokens(s))
+
+    /** [[encodeString]] of a string whose [[tokens]] are `toks`. */
+    private[ml] def encodeTokens(toks: Seq[String]): Array[Double] =
+      meanVec(toks.map(t => tokenTable.getOrElse(t, encodeNormalizedToken(t))))
 
     /** Learned similarity: cosine of the learned encodings. */
     def sim(a: String, b: String): Double = cosine(encodeString(a), encodeString(b))
@@ -160,7 +187,7 @@ object StringSim {
     aliasClusters.foreach { cluster =>
       val toks = cluster.flatMap(tokens).distinct
       if (toks.nonEmpty) {
-        val centroid = meanVec(toks.map(encodeToken))
+        val centroid = meanVec(toks.map(encodeNormalizedToken))
         toks.foreach { t =>
           tokenToCentroids(t) = centroid :: tokenToCentroids.getOrElse(t, Nil)
         }
@@ -171,7 +198,7 @@ object StringSim {
       // form so that unrelated tokens sharing a cluster with a common word
       // do not collapse together entirely.
       val learned = meanVec(cents)
-      val own = encodeToken(t)
+      val own = encodeNormalizedToken(t)
       val blended = new Array[Double](Dim)
       var i = 0
       while (i < Dim) { blended(i) = 0.7 * learned(i) + 0.3 * own(i); i += 1 }

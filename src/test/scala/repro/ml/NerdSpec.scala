@@ -1,6 +1,7 @@
 package repro.ml
 
-import repro.{SparkSpec, SynthKG}
+import org.scalacheck.{Gen, Prop}
+import repro.{Props, SparkSpec, SynthKG}
 import repro.engine.Importance
 import repro.exp.KgBuilders
 
@@ -136,5 +137,92 @@ class NerdSpec extends SparkSpec {
     // the learned stack must be at least as confident on the unseen variant
     assert(nerdConf >= baseConf - 0.05, s"nerd=$nerdConf base=$baseConf")
     assert(nerdPred.isDefined)
+  }
+
+  // ----------------------------------------------- reference scoring
+  // Disambiguation scored from the raw strings: `StringSim.editSim` and
+  // `encoder.sim` per (mention, name) pair. The index scores from names and
+  // mentions it normalized and encoded once, and must match this bit for bit.
+
+  private def refCalibrate(raw1: Double, raw2: Double): Double = {
+    val penalty = 3.5 * math.max(0.0, 0.08 - (raw1 - raw2))
+    1.0 / (1.0 + math.exp(-(12.0 * (raw1 - penalty - 0.58))))
+  }
+
+  private def refDecide(scored: Seq[(String, Double)]): Option[Nerd.Prediction] =
+    if (scored.isEmpty) None
+    else {
+      val s = scored.sortBy { case (id, v) => (-v, id) }
+      Some(Nerd.Prediction(s.head._1, refCalibrate(s.head._2, if (s.size > 1) s(1)._2 else 0.0)))
+    }
+
+  private def refIndex(mention: String, context: Seq[String], typeHint: Option[String],
+                       k: Int = 10): Option[Nerd.Prediction] = {
+    val cands = index.candidates(mention, k, typeHint)
+    val maxImp = math.max(1e-9, cands.map(_.importance).maxOption.getOrElse(0.0))
+    val ctx = context.flatMap(StringSim.tokens).toSet
+    refDecide(cands.map { e =>
+      val ns = if (e.names.isEmpty) 0.0
+               else e.names.map(n => 0.6 * StringSim.editSim(mention, n) + 0.4 * encoder.sim(mention, n)).max
+      val profile = (e.relationships ++ e.neighborTypes ++ e.types ++ e.literals).flatMap(StringSim.tokens).toSet
+      val overlap = if (ctx.isEmpty) 0.0
+                    else math.min(1.0, ctx.intersect(profile).size.toDouble / math.max(1, math.min(ctx.size, 6)))
+      e.id -> (0.80 * ns + 0.08 * (e.importance / maxImp) + 0.12 * overlap)
+    })
+  }
+
+  private def refBaseline(mention: String, k: Int = 10): Option[Nerd.Prediction] = {
+    val toks = StringSim.tokens(mention).toSet
+    val maxImp = math.max(1e-9, entries.map(_.importance).maxOption.getOrElse(0.0))
+    val hits = entries
+      .map(e => e -> e.names.flatMap(StringSim.tokens).toSet)
+      .filter { case (_, nt) => nt.exists(toks) }
+      .sortBy { case (e, nt) => (-toks.intersect(nt).size, -e.importance, e.id) }
+      .take(k).map(_._1)
+    refDecide(hits.map { e =>
+      val ns = if (e.names.isEmpty) 0.0 else e.names.map(StringSim.editSim(mention, _)).max
+      e.id -> (0.8 * ns + 0.2 * (e.importance / maxImp))
+    })
+  }
+
+  /** Same id and the same confidence bits. */
+  private def same(a: Option[Nerd.Prediction], b: Option[Nerd.Prediction]): Boolean =
+    a.map(p => (p.id, java.lang.Double.doubleToRawLongBits(p.confidence))) ==
+      b.map(p => (p.id, java.lang.Double.doubleToRawLongBits(p.confidence)))
+
+  test("predictions equal the raw-string reference scoring, bit for bit (property)") {
+    val names = entries.flatMap(_.names).toIndexedSeq
+    val words = entries.flatMap(e => e.relationships ++ e.literals).flatMap(_.split(' ')).distinct.toIndexedSeq
+    val types = entries.flatMap(_.types).distinct
+    val name = Gen.oneOf(names)
+    // names as stored, with a token dropped, a typo, case and punctuation
+    // noise, or a nickname-like first token; and pure noise
+    val mention = Gen.frequency(
+      4 -> name,
+      2 -> name.flatMap(n => Gen.choose(0, n.length).map(i => n.patch(i, "x", 1))),
+      2 -> name.map(n => n.split(' ').drop(1).mkString(" ")),
+      2 -> name.map(n => n.toUpperCase.replace(" ", ", ") + "!"),
+      1 -> Gen.zip(Gen.oneOf(SynthKG.nicknames.values.flatten.toSeq), name)
+             .map { case (nick, n) => (nick +: n.split(' ').drop(1)).mkString(" ") },
+      1 -> Gen.alphaStr.map(_.take(8)))
+    val context = Gen.choose(0, 6).flatMap(Gen.listOfN(_, Gen.oneOf(words)))
+    val hint = Gen.option(Gen.oneOf(types :+ "no_such_type"))
+    Props.check(Prop.forAll(mention, context, hint, Gen.oneOf(1, 3, 10)) { (m, ctx, th, k) =>
+      same(index.disambiguate(m, ctx, th, k), refIndex(m, ctx, th, k)) &&
+        same(baseline.disambiguate(m, k), refBaseline(m, k))
+    }, minTests = 300)
+  }
+
+  test("E4 and E5 mention sets: predictions equal the raw-string reference scoring") {
+    SynthKG.mentions(u, 300).foreach { m =>
+      assert(same(index.disambiguate(m.surface, m.context), refIndex(m.surface, m.context, None)), m)
+      assert(same(baseline.disambiguate(m.surface), refBaseline(m.surface)), m)
+    }
+    SynthKG.obrRecords(u, 300).foreach { r =>
+      assert(same(index.disambiguate(r.value, r.context), refIndex(r.value, r.context, None)), r)
+      assert(same(index.disambiguate(r.value, r.context, Some(r.typeHint)),
+                  refIndex(r.value, r.context, Some(r.typeHint))), r)
+      assert(same(baseline.disambiguate(r.value), refBaseline(r.value)), r)
+    }
   }
 }

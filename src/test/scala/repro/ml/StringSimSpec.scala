@@ -24,6 +24,47 @@ class StringSimSpec extends AnyFunSuite {
   test("tokens of empty string is empty") {
     assert(tokens("") == Seq.empty)
   }
+  test("normalize keeps only [a-z0-9] after lower-casing: accented letters separate runs") {
+    assert(normalize("José Müller") == "jos m ller")
+    assert(tokens("José Müller") == Seq("jos", "m", "ller"))
+  }
+
+  // A regex statement of the `normalize` contract, which the scan must equal.
+  private def refNormalize(s: String): String =
+    if (s == null) "" else s.toLowerCase.replaceAll("[^a-z0-9 ]", " ").replaceAll("\\s+", " ").trim
+  private def refTokens(s: String): Seq[String] = {
+    val n = refNormalize(s)
+    if (n.isEmpty) Seq.empty else n.split(' ').toSeq
+  }
+
+  /** Strings mixing ASCII and punctuation, ASCII and Unicode whitespace,
+    * accented letters, letters whose lower case has another length
+    * (İ → i + U+0307), context-dependent lower cases (final Σ), the
+    * Kelvin sign (lower case `k`), lone surrogates and supplementary code
+    * points (one with a case mapping).
+    */
+  private val messy: Gen[String] = {
+    val piece = Gen.frequency(
+      6 -> Gen.alphaNumChar.map(_.toString),
+      2 -> Gen.oneOf(" .,;:!?-_'\"()[]/&#@*+=~`|\\".map(_.toString)),
+      2 -> Gen.oneOf(" ", "  ", "\t", "\n", "\r", "\u000b", "\f", "\u00a0", "\u3000", "\u2028"),
+      2 -> Gen.oneOf("é", "Ü", "ñ", "Ø", "Ç", "Å", "ï"),
+      2 -> Gen.oneOf("İ", "ß", "ﬁ", "Σ", "ΑΣ", "\u212a"),
+      1 -> Gen.oneOf("\ud800", "\udc00", "\ud83d\ude00", "\ud801\udc00", "\ud835\udc00"))
+    Gen.listOf(piece).map(_.mkString)
+  }
+
+  test("normalize and tokens equal the regex reference on mixed Unicode strings (property)") {
+    Props.check(Prop.forAll(messy) { s =>
+      normalize(s) == refNormalize(s) && tokens(s) == refTokens(s)
+    }, minTests = 2000)
+  }
+  test("normalize is idempotent, and tokens of the normalized form are the tokens (property)") {
+    Props.check(Prop.forAll(messy) { s =>
+      val n = normalize(s)
+      normalize(n) == n && tokens(n) == tokens(s)
+    }, minTests = 500)
+  }
 
   // -------------------------------------------------------- edit distance
   test("editDistance of identical strings is 0") {
