@@ -105,12 +105,11 @@ object Construction {
       case ("a", _, Some(t)) => t
       case ("u", s, Some(t)) if unlinkedUpd(s) => t
     }.distinct
-    val (addPayload, newLinks, sameAs) =
-      if (addTypes.isEmpty) (Schema.emptyTriples(spark), Seq.empty[(String, String)], Schema.emptyTriples(spark))
+    val (addPayload, newLinks) =
+      if (addTypes.isEmpty) (Schema.emptyTriples(spark), Seq.empty[(String, String)])
       else {
-        val kgView = Linking.kgViewForTypes(state.stable, addTypes)
-        val res = Linking.run(added, kgView, model)
-        (obr(Linking.rewriteSubjects(added, res.links)), res.links, res.sameAs)
+        val links = Linking.run(added, Linking.kgViewForTypes(state.stable, addTypes), model)
+        (obr(Linking.rewriteSubjects(added, links)), links)
       }
 
     // ---------------------------------------------------------- ToUpdate
@@ -123,21 +122,23 @@ object Construction {
 
     // ------------------------------------------------- fusion sync point
     // Retract this source's prior contribution for updated+deleted
-    // subjects, then fuse the new payloads and the same_as provenance in
-    // one pass. The payloads feed only this plan, and each is a broadcast
-    // join of a payload with a driver-local link table (`sameAs` is a
-    // projection of one), so the plan stays shallow without a barrier.
+    // subjects, then fuse the new payloads in one pass, with the same_as
+    // provenance of every new and looked-up link: retraction strips an
+    // updated record's same_as fact with the rest of its facts. The
+    // payloads feed only this plan, and each is a broadcast join of a
+    // payload with a driver-local link table (the same_as rows are a
+    // local relation), so the plan stays shallow without a barrier.
     // Only the fused KG is pinned: truth discovery reads it three times.
     val fused = Fusion.fuse(
-      Fusion.retractSource(state.stable, payload.source, retractSubjects.toDF("subject")),
-      addPayload.unionByName(sameAs), updPayload)
+      Fusion.retractSource(state.stable, payload.source, retractSubjects),
+      addPayload.unionByName(Linking.sameAs(spark, newLinks ++ updLinks)), updPayload)
     val newStable = if (runTruthDiscovery) Fusion.truthDiscovery(Dataflow.pin(fused)) else fused
 
     // ------------------------------------------------------ link table
     // Deleted records lose their links and newly linked ones replace any
     // they had (an Added payload consumed again, as in op-log replay).
-    val replaced = (delLinks.map(_._1) ++ newLinks.map(_._1)).toDF("srcId")
-    val allLinks = state.links.join(broadcast(replaced), Seq("srcId"), "left_anti")
+    val replaced = delLinks.map(_._1) ++ newLinks.map(_._1)
+    val allLinks = state.links.filter(!col("srcId").isin(replaced: _*))
       .unionByName(newLinks.toDF("srcId", "kgId"))
 
     // -------------------------------------------------------- volatile

@@ -130,23 +130,22 @@ object Fusion {
     * payloads). Facts left with no remaining provenance are dropped; the
     * non-destructive contract is honoured because deletion is driven by
     * the provenance arrays themselves (on-demand data deletion, §1.2).
-    * The subjects are bounded by the payload, so they are broadcast and
-    * the KG is not shuffled.
+    * The subjects are a driver-held set bounded by the payload, so they
+    * mark the facts to strip through `isin`, with no join: a driver-held
+    * set is always an `isin`, and only a driver-held mapping (see
+    * [[Linking.rewriteSubjects]]) is a broadcast join.
     */
-  def retractSource(kg: DataFrame, source: String, subjects: DataFrame): DataFrame = {
-    val marked = kg.join(broadcast(subjects.select(col("subject").as(Schema.Subject)).distinct()
-                                     .withColumn("__hit", lit(true))),
-                         Seq(Schema.Subject), "left")
+  def retractSource(kg: DataFrame, source: String, subjects: Seq[String]): DataFrame = {
     val zipped = arrays_zip(col(Schema.Sources), col(Schema.Trust))
     val kept = filter(zipped, _.getField(Schema.Sources) =!= lit(source))
     Schema.canonicalize(
-      marked
-        .withColumn("__kept", when(col("__hit").isNotNull, kept).otherwise(zipped))
+      kg
+        .withColumn("__kept", when(col(Schema.Subject).isin(subjects: _*), kept).otherwise(zipped))
         .filter(size(col("__kept")) > 0)
         .withColumn(Schema.Sources, expr("__kept.sources"))
         .withColumn(Schema.Trust, expr("__kept.trust"))
         .withColumn(Schema.Conf, noisyOr("__kept"))
-        .drop("__hit", "__kept"))
+        .drop("__kept"))
   }
 
   /** Volatile fusion (§2.4): the KG maintains a per-source partition of

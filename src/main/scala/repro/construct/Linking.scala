@@ -1,6 +1,6 @@
 package repro.construct
 
-import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{Dataflow, Ontology, Schema}
 
@@ -17,8 +17,9 @@ import repro.core.{Dataflow, Ontology, Schema}
   *      one KG entity, whose identifier all source entities in the
   *      cluster receive; clusters without a KG entity mint a new one.
   *
-  * `same_as` facts recording source-entity → KG-entity links are emitted
-  * for full provenance of the linking process.
+  * `same_as` facts recording source-entity → KG-entity links
+  * ([[sameAs]]) give full provenance of the linking process; construction
+  * fuses them for every new and looked-up link.
   */
 object Linking {
 
@@ -60,13 +61,6 @@ object Linking {
     kg.join(subjects, Seq(Schema.Subject), "left_semi")
   }
 
-  final case class LinkResult(
-      /** srcId → kgId for every incoming source entity, local to the driver. */
-      links: Seq[(String, String)],
-      /** same_as provenance triples (kgId, same_as, srcId). */
-      sameAs: DataFrame,
-  )
-
   /** Calibrated probability at or above which a pair is a high-confidence
     * match (+1 edge), and at or below which it is a high-confidence
     * non-match (−1 edge); the band in between adds no edge.
@@ -77,9 +71,10 @@ object Linking {
   private val Seed = 42L
 
   /** Run linking of `sourceTriples` (source namespace) against
-    * `kgViewTriples` (KG namespace).
+    * `kgViewTriples` (KG namespace): srcId → kgId for every incoming
+    * source entity, local to the driver.
     */
-  def run(sourceTriples: DataFrame, kgViewTriples: DataFrame, model: Matching.Model): LinkResult = {
+  def run(sourceTriples: DataFrame, kgViewTriples: DataFrame, model: Matching.Model): Seq[(String, String)] = {
     val spark = sourceTriples.sparkSession
     import spark.implicits._
 
@@ -107,23 +102,30 @@ object Linking {
       else None
     }.collect().toSeq
     val srcIds = all.filter(!$"isKg").map(_.id).collect().toSeq
-    val links = CorrelationClustering.resolve(srcIds, edges, Seed)
+    CorrelationClustering.resolve(srcIds, edges, Seed)
+  }
 
-    val sameAs = links.toDF("srcId", "kgId").select(
+  /** The same_as provenance triples (kgId, same_as, srcId) of `links`
+    * (srcId → kgId), each asserted by the srcId's source with trust 1.
+    */
+  def sameAs(spark: SparkSession, links: Seq[(String, String)]): DataFrame = {
+    import spark.implicits._
+    Schema.canonicalize(links.toDF("srcId", "kgId").select(
       col("kgId").as(Schema.Subject),
       lit(Ontology.SameAs).as(Schema.Predicate),
       lit(null: String).as(Schema.RId), lit(null: String).as(Schema.RPredicate),
       col("srcId").as(Schema.Obj), lit("zxx").as(Schema.Locale),
       array(split(col("srcId"), ":").getItem(0)).as(Schema.Sources),
-      array(lit(1.0)).as(Schema.Trust), lit(1.0).as(Schema.Conf))
-
-    LinkResult(links, Schema.canonicalize(sameAs))
+      array(lit(1.0)).as(Schema.Trust), lit(1.0).as(Schema.Conf)))
   }
 
   /** Rewrite the subjects of linked source triples into the KG namespace.
     * Every source subject must have a link (linking is total over the
-    * payload); the inner join enforces it. The links are bounded by the
-    * payload, so they are broadcast and the triples are not shuffled.
+    * payload); the inner join enforces it. The links are a driver-held
+    * mapping bounded by the payload, so they are broadcast and the
+    * triples are not shuffled: a driver-held mapping is always a
+    * broadcast join, and only a driver-held set (see
+    * [[Fusion.retractSource]]) is an `isin`.
     */
   def rewriteSubjects(sourceTriples: DataFrame, links: Seq[(String, String)]): DataFrame = {
     val spark = sourceTriples.sparkSession

@@ -54,11 +54,11 @@ object Importance {
   /** Power-iteration PageRank over the entity graph (dangling mass is
     * redistributed uniformly). Returns (id, pagerank) summing to ~1.
     */
-  def pagerank(triples: DataFrame, iterations: Int = 10, damping: Double = Damping): DataFrame =
-    pagerank(Dataflow.pin(edges(triples)), Dataflow.pin(nodes(triples)), iterations, damping)
+  def pagerank(triples: DataFrame, iterations: Int = 10): DataFrame =
+    pagerank(Dataflow.pin(edges(triples)), Dataflow.pin(nodes(triples)), iterations)
 
   /** PageRank over pinned edges and nodes, which every iteration reads. */
-  private def pagerank(e: DataFrame, nodes: DataFrame, iterations: Int, damping: Double): DataFrame = {
+  private def pagerank(e: DataFrame, nodes: DataFrame, iterations: Int): DataFrame = {
     val n = nodes.count().toDouble
     if (n == 0) return nodes.withColumn("pagerank", lit(0.0))
     val outDeg = e.groupBy(col("src").as("id")).agg(count("*").as("deg"))
@@ -75,8 +75,8 @@ object Importance {
       ranks = Dataflow.pin(
         nodes.join(contrib, Seq("id"), "left")
           .select(col("id"),
-            (lit((1 - damping) / n) +
-             lit(damping) * (coalesce(col("inbound"), lit(0.0)) + lit(danglingMass / n))).as("rank")))
+            (lit((1 - Damping) / n) +
+             lit(Damping) * (coalesce(col("inbound"), lit(0.0)) + lit(danglingMass / n))).as("rank")))
     }
     ranks.withColumnRenamed("rank", "pagerank")
   }
@@ -91,7 +91,7 @@ object Importance {
     val ns = Dataflow.pin(nodes(triples))
     val d = degrees(e, ns)
     val ids = identities(triples)
-    val pr = pagerank(e, ns, prIterations, Damping)
+    val pr = pagerank(e, ns, prIterations)
     val joined = Dataflow.pin(d.join(ids, Seq("id"), "left").join(pr, Seq("id"), "left")
       .na.fill(0L, Seq("identities")).na.fill(0.0, Seq("pagerank")))
     val maxes = joined.agg(

@@ -7,19 +7,17 @@ import scala.collection.mutable
 /** KG views and their lifecycle (§3.2): a view is *any* transformation of
   * the graph — subgraphs, schematized relational views, aggregates,
   * iterative algorithms (PageRank), or alternative representations
-  * (embeddings). View definitions are scripted against a target engine,
-  * registered in a central catalog with their dependencies, and executed
-  * by the View Manager in dependency order, reusing shared upstream views
-  * (the multi-query optimization behind the paper's 26% speedup).
+  * (embeddings). View definitions are registered in a central catalog
+  * with their dependencies and executed by the View Manager in
+  * registration order, which is a dependency order, reusing shared
+  * upstream views (the multi-query optimization behind the paper's 26%
+  * speedup).
   */
 object Views {
 
   /** A registered view definition.
     *
     * @param name        catalog name
-    * @param engine      target engine ("analytics", "elastic", "vectordb",
-    *                    ...) — cross-engine dependencies are orchestrated
-    *                    by the manager through a common API
     * @param deps        names of views this view consumes
     * @param create      full materialization: (spark, KG triples, dep
     *                    outputs) → view relation
@@ -29,14 +27,15 @@ object Views {
     */
   final case class ViewDef(
       name: String,
-      engine: String,
       deps: Seq[String],
       create: (SparkSession, DataFrame, Map[String, DataFrame]) => DataFrame,
       update: Option[(SparkSession, DataFrame, DataFrame, Map[String, DataFrame], DataFrame) => DataFrame] = None,
   )
 
-  /** The central view catalog: registration, dependency validation,
-    * topological execution order with cycle detection.
+  /** The central view catalog: registration with dependency validation.
+    * A view registers only after its dependencies and a view with
+    * consumers cannot be dropped, so no cycle can form and registration
+    * order ([[all]]) is always a dependency order.
     */
   final class Catalog {
     private val defs = mutable.LinkedHashMap[String, ViewDef]()
@@ -55,33 +54,9 @@ object Views {
     }
 
     def get(name: String): ViewDef = defs(name)
-    def all: Seq[ViewDef] = defs.values.toSeq
 
-    /** Topological order over the dependency DAG. */
-    def topoOrder(targets: Seq[String] = Seq.empty): Seq[ViewDef] = {
-      val wanted =
-        if (targets.isEmpty) defs.keySet.toSet
-        else {
-          val closure = mutable.Set[String]()
-          def visit(n: String): Unit =
-            if (closure.add(n)) defs(n).deps.foreach(visit)
-          targets.foreach(visit)
-          closure.toSet
-        }
-      val order = mutable.ArrayBuffer[ViewDef]()
-      val state = mutable.Map[String, Int]() // 0=unseen 1=visiting 2=done
-      def dfs(n: String): Unit = state.getOrElse(n, 0) match {
-        case 2 => ()
-        case 1 => throw new IllegalStateException(s"view dependency cycle through $n")
-        case _ =>
-          state(n) = 1
-          defs(n).deps.foreach(dfs)
-          state(n) = 2
-          order += defs(n)
-      }
-      defs.keys.filter(wanted).foreach(dfs)
-      order.toSeq
-    }
+    /** Every view in registration order: dependencies before consumers. */
+    def all: Seq[ViewDef] = defs.values.toSeq
   }
 
   /** Result of a materialization run: view outputs and per-view wall-clock
@@ -112,9 +87,7 @@ object Views {
     }
 
     def materializeAll(spark: SparkSession, kg: DataFrame,
-                       reuseShared: Boolean = true,
-                       targets: Seq[String] = Seq.empty): RunReport = {
-      val order = catalog.topoOrder(targets)
+                       reuseShared: Boolean = true): RunReport = {
       val outputs = mutable.Map[String, DataFrame]()
       val seconds = mutable.Map[String, Double]().withDefaultValue(0.0)
       val counts = mutable.Map[String, Int]().withDefaultValue(0)
@@ -131,7 +104,7 @@ object Views {
         df
       }
 
-      order.foreach { v =>
+      catalog.all.foreach { v =>
         if (reuseShared) outputs.getOrElseUpdate(v.name, materialize(v))
         else outputs(v.name) = materialize(v)
       }
@@ -145,7 +118,7 @@ object Views {
     def updateAll(spark: SparkSession, kg: DataFrame, previous: Map[String, DataFrame],
                   changedIds: DataFrame): Map[String, DataFrame] = {
       val outputs = mutable.Map[String, DataFrame]()
-      catalog.topoOrder().foreach { v =>
+      catalog.all.foreach { v =>
         val depOut = v.deps.map(d => d -> outputs(d)).toMap
         val out = (v.update, previous.get(v.name)) match {
           case (Some(u), Some(prev)) => u(spark, prev, kg, depOut, changedIds)

@@ -111,10 +111,10 @@ object ViewExperiments {
     */
   def registerFig7Views(catalog: Views.Catalog): Unit = {
     catalog.register(Views.ViewDef(
-      "entity_features", "analytics", Seq.empty,
+      "entity_features", Seq.empty,
       create = (spark, kg, _) => Importance.importanceView(kg, prIterations = 6)))
     catalog.register(Views.ViewDef(
-      "ranked_entity_index", "search", Seq("entity_features"),
+      "ranked_entity_index", Seq("entity_features"),
       create = (spark, kg, deps) => {
         // textual references (names + aliases) tokenized and scored — the
         // string-heavy indexing work of a ranked entity index
@@ -130,7 +130,7 @@ object ViewExperiments {
                   slice(reverse(array_sort(col("postings"))), 1, 20).as("topPostings"))
       }))
     catalog.register(Views.ViewDef(
-      "entity_neighborhood", "analytics", Seq("entity_features"),
+      "entity_neighborhood", Seq("entity_features"),
       create = (spark, kg, deps) => {
         // 2-hop neighbourhood aggregation with feature annotations — the
         // join-heavy context extraction used to learn graph embeddings

@@ -44,8 +44,15 @@ object Embeddings {
   case object TransE extends Kind
   case object DistMult extends Kind
 
-  final case class Config(dim: Int = 32, epochs: Int = 60, lr: Double = 0.05,
-                          margin: Double = 1.0, negPerPos: Int = 4, seed: Long = 19)
+  final case class Config(epochs: Int = 60, seed: Long = 19)
+
+  /** Embedding dimension, SGD learning rate, ranking-loss margin and
+    * negative samples per positive triple.
+    */
+  private val Dim = 32
+  private val Lr = 0.05
+  private val Margin = 1.0
+  private val NegPerPos = 4
 
   /** A trained embedding model. `score` is higher-is-more-plausible for
     * both kinds (TransE scores are negated distances).
@@ -81,8 +88,8 @@ object Embeddings {
       }
   }
 
-  private def randVec(rnd: Random, dim: Int): Array[Double] =
-    StringSim.l2normalize(Array.fill(dim)(rnd.nextGaussian()))
+  private def randVec(rnd: Random): Array[Double] =
+    StringSim.l2normalize(Array.fill(Dim)(rnd.nextGaussian()))
 
   /** Deterministic SGD with margin ranking loss and uniform negative
     * sampling (corrupt the object).
@@ -93,57 +100,56 @@ object Embeddings {
     val ents = (edges.map(_.s) ++ edges.map(_.o)).distinct.sorted.toArray
     val rels = edges.map(_.p).distinct.sorted.toArray
     val eIdx = ents.zipWithIndex.toMap
-    val eV = ents.map(_ => randVec(rnd, cfg.dim))
-    val rV = rels.map(_ => randVec(rnd, cfg.dim))
+    val eV = ents.map(_ => randVec(rnd))
+    val rV = rels.map(_ => randVec(rnd))
     val rIdx = rels.zipWithIndex.toMap
 
     def sc(s: Int, p: Int, o: Int): Double = kind match {
       case TransE =>
         var d = 0.0; var i = 0
-        while (i < cfg.dim) { val x = eV(s)(i) + rV(p)(i) - eV(o)(i); d += x * x; i += 1 }
+        while (i < Dim) { val x = eV(s)(i) + rV(p)(i) - eV(o)(i); d += x * x; i += 1 }
         -math.sqrt(math.max(d, 1e-12))
       case DistMult =>
         var d = 0.0; var i = 0
-        while (i < cfg.dim) { d += eV(s)(i) * rV(p)(i) * eV(o)(i); i += 1 }
+        while (i < Dim) { d += eV(s)(i) * rV(p)(i) * eV(o)(i); i += 1 }
         d
     }
 
     // Gradient step pushing score(pos) above score(neg) by the margin.
     def step(s: Int, p: Int, oPos: Int, oNeg: Int): Unit = {
-      val viol = cfg.margin - sc(s, p, oPos) + sc(s, p, oNeg)
+      val viol = Margin - sc(s, p, oPos) + sc(s, p, oNeg)
       if (viol <= 0) return
-      val lr = cfg.lr
       kind match {
         case TransE =>
           var i = 0
-          while (i < cfg.dim) {
+          while (i < Dim) {
             val gPos = eV(s)(i) + rV(p)(i) - eV(oPos)(i) // d/ds of ||.||^2 up to scale
             val gNeg = eV(s)(i) + rV(p)(i) - eV(oNeg)(i)
-            eV(s)(i)   -= lr * (gPos - gNeg)
-            rV(p)(i)   -= lr * (gPos - gNeg)
-            eV(oPos)(i) += lr * gPos
-            eV(oNeg)(i) -= lr * gNeg
+            eV(s)(i)   -= Lr * (gPos - gNeg)
+            rV(p)(i)   -= Lr * (gPos - gNeg)
+            eV(oPos)(i) += Lr * gPos
+            eV(oNeg)(i) -= Lr * gNeg
             i += 1
           }
         case DistMult =>
           var i = 0
-          while (i < cfg.dim) {
+          while (i < Dim) {
             val sP = eV(s)(i); val pP = rV(p)(i)
-            eV(s)(i)    += lr * pP * (eV(oPos)(i) - eV(oNeg)(i))
-            rV(p)(i)    += lr * sP * (eV(oPos)(i) - eV(oNeg)(i))
-            eV(oPos)(i) += lr * sP * pP
-            eV(oNeg)(i) -= lr * sP * pP
+            eV(s)(i)    += Lr * pP * (eV(oPos)(i) - eV(oNeg)(i))
+            rV(p)(i)    += Lr * sP * (eV(oPos)(i) - eV(oNeg)(i))
+            eV(oPos)(i) += Lr * sP * pP
+            eV(oNeg)(i) -= Lr * sP * pP
             i += 1
           }
       }
       Seq(s, oPos, oNeg).foreach { k =>
         val n = math.sqrt(eV(k).map(x => x * x).sum)
-        if (n > 1.0) { var i = 0; while (i < cfg.dim) { eV(k)(i) /= n; i += 1 } }
+        if (n > 1.0) { var i = 0; while (i < Dim) { eV(k)(i) /= n; i += 1 } }
       }
     }
 
     val triplesIdx = edges.map(t => (eIdx(t.s), rIdx(t.p), eIdx(t.o))).toArray
-    for (_ <- 0 until cfg.epochs; (s, p, o) <- triplesIdx; _ <- 0 until cfg.negPerPos) {
+    for (_ <- 0 until cfg.epochs; (s, p, o) <- triplesIdx; _ <- 0 until NegPerPos) {
       val oNeg = rnd.nextInt(ents.length)
       if (oNeg != o) step(s, p, o, oNeg)
     }

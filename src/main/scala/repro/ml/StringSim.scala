@@ -88,15 +88,18 @@ object StringSim {
     else ta.intersect(tb).size.toDouble / ta.union(tb).size
   }
 
-  /** Character q-grams of the padded, normalized string. */
-  def qgrams(s: String, q: Int = 3): Seq[String] = normalizedQgrams(normalize(s), q)
+  /** Length of the character q-grams. */
+  private val Q = 3
 
-  private def normalizedQgrams(n: String, q: Int): Seq[String] =
-    if (n.isEmpty) Seq.empty else ("#" * (q - 1) + n + "#" * (q - 1)).sliding(q).toSeq
+  /** Character q-grams of the padded, normalized string. */
+  def qgrams(s: String): Seq[String] = normalizedQgrams(normalize(s))
+
+  private def normalizedQgrams(n: String): Seq[String] =
+    if (n.isEmpty) Seq.empty else ("#" * (Q - 1) + n + "#" * (Q - 1)).sliding(Q).toSeq
 
   /** Jaccard over q-gram sets — the blocking-friendly typo-tolerant sim. */
-  def qgramJaccard(a: String, b: String, q: Int = 3): Double = {
-    val (ga, gb) = (qgrams(a, q).toSet, qgrams(b, q).toSet)
+  def qgramJaccard(a: String, b: String): Double = {
+    val (ga, gb) = (qgrams(a).toSet, qgrams(b).toSet)
     if (ga.isEmpty && gb.isEmpty) 1.0
     else if (ga.isEmpty || gb.isEmpty) 0.0
     else ga.intersect(gb).size.toDouble / ga.union(gb).size
@@ -113,7 +116,7 @@ object StringSim {
   /** [[encodeToken]] of an already-normalized token. */
   private def encodeNormalizedToken(tok: String): Array[Double] = {
     val v = new Array[Double](Dim)
-    normalizedQgrams(tok, 3).foreach { g =>
+    normalizedQgrams(tok).foreach { g =>
       val h = math.abs(g.hashCode) % Dim
       v(h) += 1.0
     }

@@ -1,9 +1,11 @@
 package repro.construct
 
+import org.apache.spark.TestListenerBus
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, SynthKG}
-import repro.core.{Ontology, Schema}
+import repro.core.{Dataflow, Ontology, Schema}
 import repro.exp.KgBuilders
 
 /** End-to-end knowledge construction (§2.3–2.4): bootstrap + incremental
@@ -209,6 +211,65 @@ class ConstructionSpec extends SparkSpec {
     assert(first.map(_._1).distinct.size == first.size)
     assert(first.map(_._1).toSet == linkPairs.keySet)
     assert(linkTable() == first)
+  }
+
+  // musicdb's epoch-1 delta, its payloads pinned as the ingestion platform
+  // hands them over.
+  private lazy val musicdbDelta: Construction.SourcePayload = {
+    val p = KgBuilders.payloadFor(spark, u, sources(1), 1, Some((sources(1), 0)))
+    p.copy(added = Dataflow.pin(p.added), deleted = Dataflow.pin(p.deleted),
+           updated = Dataflow.pin(p.updated), volatileDump = Dataflow.pin(p.volatileDump))
+  }
+
+  test("an updated record keeps its same_as fact") {
+    import spark.implicits._
+    val (state1, _) = Construction.consume(state0, musicdbDelta, model, runTruthDiscovery = false)
+    val updated = musicdbDelta.updated.select(Schema.Subject).distinct().as[String].collect()
+      .filter(linkPairs.contains)
+    assert(updated.nonEmpty)
+    val sameAs = state1.stable
+      .filter(col(Schema.Predicate) === Ontology.SameAs && array_contains(col(Schema.Sources), sources(1).name))
+      .select(Schema.Obj, Schema.Subject).as[(String, String)].collect().toSet
+    val lost = updated.filterNot(s => sameAs((s, linkPairs(s))))
+    assert(lost.isEmpty, s"${lost.length} of ${updated.length} updated records lost their same_as fact")
+  }
+
+  test("an epoch-1 delta consume runs at most 27 Spark jobs") {
+    val (sc, group) = (spark.sparkContext, "construction-spec-delta-jobs")
+    val (state, delta) = (state0, musicdbDelta) // built outside the counted group
+    val jobs = new java.util.concurrent.atomic.AtomicInteger()
+    val listener = new SparkListener {
+      override def onJobStart(js: SparkListenerJobStart): Unit =
+        if (Option(js.properties).exists(_.getProperty("spark.jobGroup.id") == group)) jobs.incrementAndGet()
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "one delta consume")
+      try Construction.consume(state, delta, model) finally sc.clearJobGroup()
+      TestListenerBus.waitUntilEmpty(sc)
+    } finally sc.removeSparkListener(listener)
+    assert(jobs.get > 0 && jobs.get <= 27, s"${jobs.get} jobs")
+  }
+
+  test("boot and delta consumes return the same rows under 1, 3 and 64 shuffle partitions") {
+    import spark.implicits._
+    val boot = sources.take(2).map { s =>
+      val p = KgBuilders.payloadFor(spark, u, s, 0, None)
+      p.copy(added = Dataflow.pin(p.added), volatileDump = Dataflow.pin(p.volatileDump))
+    }
+    def run(): Seq[Seq[String]] = {
+      val (st, _) = Construction.consumeAll(Construction.KGState.empty(spark), boot :+ musicdbDelta, model)
+      Seq(st.stable, st.volatile, st.links).map(_.collect().map(_.toString).toSeq.sorted)
+    }
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    val runs = try Seq(1, 3, 64).map { n => spark.conf.set(key, n.toString); run() }
+               finally spark.conf.set(key, saved)
+    assert(runs.head.forall(_.nonEmpty))
+    runs.tail.foreach { r =>
+      val differing = r.zip(runs.head).map { case (a, b) => a.diff(b).size + b.diff(a).size }
+      assert(differing.forall(_ == 0), s"rows differing in (stable, volatile, links): $differing")
+    }
   }
 
   test("fullRebuild equals bootstrap construction on the same payloads") {

@@ -190,7 +190,7 @@ class FusionSpec extends SparkSpec {
       t("kg:2", "name", "Beta", "a", 0.9)))
     val fused = Fusion.fuse(kg, Schema.fromTuples(spark, Seq(
       t("kg:1", "name", "Alpha", "b", 0.8))))
-    val out = Fusion.retractSource(fused, "a", Seq("kg:1").toDF("subject"))
+    val out = Fusion.retractSource(fused, "a", Seq("kg:1"))
     val r1 = out.filter(col(Schema.Subject) === "kg:1").head()
     assert(r1.getSeq[String](r1.fieldIndex("sources")) == Seq("b"))
     // untouched subject keeps its provenance
@@ -200,7 +200,7 @@ class FusionSpec extends SparkSpec {
 
   test("retractSource drops facts with no remaining provenance") {
     val kg = Schema.fromTuples(spark, Seq(t("kg:1", "name", "Alpha", "a", 0.9)))
-    val out = Fusion.retractSource(kg, "a", Seq("kg:1").toDF("subject"))
+    val out = Fusion.retractSource(kg, "a", Seq("kg:1"))
     assert(out.count() == 0)
   }
 
@@ -208,7 +208,7 @@ class FusionSpec extends SparkSpec {
     val kg = Fusion.fuse(
       Schema.fromTuples(spark, Seq(t("kg:1", "name", "Alpha", "a", 0.9))),
       Schema.fromTuples(spark, Seq(t("kg:1", "name", "Alpha", "b", 0.8))))
-    val out = Fusion.retractSource(kg, "a", Seq("kg:1").toDF("subject"))
+    val out = Fusion.retractSource(kg, "a", Seq("kg:1"))
     assert(math.abs(out.head().getAs[Double]("conf") - 0.8) < 1e-6)
   }
 
@@ -216,7 +216,7 @@ class FusionSpec extends SparkSpec {
     val names = Seq("o'reilly", """c:\data""")
     val kg = Fusion.consolidate(Schema.fromTuples(spark,
       names.map(t("kg:1", "name", "Alpha", _, 0.9)) :+ t("kg:1", "name", "Alpha", "b", 0.8)))
-    val out = names.foldLeft(kg)(Fusion.retractSource(_, _, Seq("kg:1").toDF("subject")))
+    val out = names.foldLeft(kg)(Fusion.retractSource(_, _, Seq("kg:1")))
     val r = out.head()
     assert(r.getSeq[String](r.fieldIndex("sources")) == Seq("b"))
   }

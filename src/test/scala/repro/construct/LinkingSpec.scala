@@ -31,7 +31,7 @@ class LinkingSpec extends SparkSpec {
     Linking.run(srcTriples(), kgTriples(), Matching.defaultModel(None))
 
   private lazy val links: Map[String, String] =
-    result.links.toMap
+    result.toMap
 
   test("toRecords consolidates triples into entity records") {
     val recs = Linking.toRecords(srcTriples(), isKg = false).collect()
@@ -77,11 +77,11 @@ class LinkingSpec extends SparkSpec {
     assert(z.startsWith(Schema.KgNs) && z != "kg:aaa" && z != "kg:bbb")
     // deterministic: a rerun mints the same id
     val rerun = Linking.run(srcTriples(), kgTriples(), Matching.defaultModel(None))
-    assert(rerun.links.toMap.apply("w:3") == z)
+    assert(rerun.toMap.apply("w:3") == z)
   }
 
   test("same_as facts record source→KG provenance of the linking") {
-    val sa = result.sameAs.collect()
+    val sa = Linking.sameAs(spark, result).collect()
     assert(sa.length == 3)
     assert(sa.forall(_.getAs[String](Schema.Predicate) == Ontology.SameAs))
     val pair = sa.map(r => r.getAs[String](Schema.Obj) -> r.getAs[String](Schema.Subject)).toMap
@@ -96,12 +96,12 @@ class LinkingSpec extends SparkSpec {
     val src = Schema.fromTuples(spark, Seq(
       t("w:5", "type", "person"), t("w:5", "name", "Twin Name")))
     val res = Linking.run(src, kg, Matching.defaultModel(None))
-    val kgId = res.links.head._2
+    val kgId = res.head._2
     assert(Set("kg:x1", "kg:x2").contains(kgId)) // linked to exactly one of them
   }
 
   test("rewriteSubjects maps source subjects into the KG namespace") {
-    val rewritten = Linking.rewriteSubjects(srcTriples(), result.links)
+    val rewritten = Linking.rewriteSubjects(srcTriples(), result)
     val subs = rewritten.select(Schema.Subject).distinct().as[String].collect().toSet
     assert(subs == links.values.toSet)
     assert(rewritten.count() == srcTriples().count())
@@ -113,7 +113,7 @@ class LinkingSpec extends SparkSpec {
     val src = Schema.fromTuples(spark, Seq(
       t("w:7", "type", "person"), t("w:7", "name", "Zelda Quinn")))
     val res = Linking.run(src, kg, Matching.defaultModel(None))
-    val id = res.links.head._2
+    val id = res.head._2
     assert(id != "kg:m")
   }
 }

@@ -1,7 +1,9 @@
 package repro.engine
 
 import org.apache.spark.sql.functions._
-import repro.{SparkSpec, SynthKG}
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
+import repro.{Props, SparkSpec, SynthKG}
 import repro.exp.{KgBuilders, ViewExperiments}
 
 /** KG views: catalog, dependency DAG, reuse, incremental update (§3.2). */
@@ -10,7 +12,7 @@ class ViewsSpec extends SparkSpec {
 
   private def countingView(name: String, deps: Seq[String] = Seq.empty,
                            counter: java.util.concurrent.atomic.AtomicInteger) =
-    ViewDef(name, "analytics", deps, (spark, kg, depOut) => {
+    ViewDef(name, deps, (spark, kg, depOut) => {
       counter.incrementAndGet()
       kg.select(col("subject").as("id")).distinct()
     })
@@ -40,25 +42,41 @@ class ViewsSpec extends SparkSpec {
     c.drop("base") // now fine
   }
 
-  test("topoOrder puts dependencies before consumers") {
+  test("catalog order puts dependencies before consumers") {
     val c = new Catalog
     val n = new java.util.concurrent.atomic.AtomicInteger()
     c.register(countingView("a", counter = n))
     c.register(countingView("b", deps = Seq("a"), counter = n))
     c.register(countingView("c", deps = Seq("b", "a"), counter = n))
-    val order = c.topoOrder().map(_.name)
+    val order = c.all.map(_.name)
     assert(order.indexOf("a") < order.indexOf("b"))
     assert(order.indexOf("b") < order.indexOf("c"))
   }
 
-  test("topoOrder with targets computes only the needed closure") {
-    val c = new Catalog
-    val n = new java.util.concurrent.atomic.AtomicInteger()
-    c.register(countingView("a", counter = n))
-    c.register(countingView("b", deps = Seq("a"), counter = n))
-    c.register(countingView("lonely", counter = n))
-    val order = c.topoOrder(Seq("b")).map(_.name)
-    assert(order == Seq("a", "b"))
+  test("after any accepted register/drop sequence, all follows dependencies and reuse builds each view once (property)") {
+    import spark.implicits._
+    val names = Seq("a", "b", "c", "d", "e")
+    // Left(name) drops a view, Right((name, deps)) registers one; the
+    // catalog rejects some of each, and the rest must keep its order valid.
+    val op: Gen[Either[String, (String, Seq[String])]] = Gen.oneOf(
+      Gen.oneOf(names).map(Left(_)),
+      Gen.zip(Gen.oneOf(names), Gen.someOf(names)).map { case (v, deps) => Right((v, deps.toSeq)) })
+    val tiny = repro.core.Dataflow.pin(Seq("kg:1", "kg:2").toDF("subject"))
+    Props.check(Prop.forAllNoShrink(Gen.choose(1, 12).flatMap(Gen.listOfN(_, op))) { ops =>
+      val c = new Catalog
+      val built = names.map(_ -> new java.util.concurrent.atomic.AtomicInteger()).toMap
+      ops.foreach { o =>
+        try o match {
+          case Left(v) => c.drop(v)
+          case Right((v, deps)) => c.register(countingView(v, deps, built(v)))
+        } catch { case _: IllegalArgumentException => () }
+      }
+      val order = c.all.map(_.name)
+      val ordered = c.all.forall(v => v.deps.forall(d => order.indexOf(d) >= 0 && order.indexOf(d) < order.indexOf(v.name)))
+      val rep = new Manager(c).materializeAll(spark, tiny, reuseShared = true)
+      (ordered && rep.outputs.keySet == order.toSet && order.forall(built(_).get == 1)) :|
+        s"order $order, builds ${built.map { case (k, n) => k -> n.get }}"
+    }, minTests = 25)
   }
 
   private lazy val kg = repro.core.Dataflow.pin(
@@ -82,11 +100,11 @@ class ViewsSpec extends SparkSpec {
     val evaluated = spark.sparkContext.longAccumulator("dep rows")
     val seen = udf { (_: String) => evaluated.add(1); true }.asNondeterministic() // not pushed below distinct
     val c = new Catalog
-    c.register(ViewDef("dep", "analytics", Seq.empty,
+    c.register(ViewDef("dep", Seq.empty,
       (_, k, _) => k.select(col("subject").as("id")).distinct().filter(seen(col("id")))))
-    c.register(ViewDef("left", "analytics", Seq("dep"),
+    c.register(ViewDef("left", Seq("dep"),
       (_, _, d) => d("dep").withColumn("side", lit("left"))))
-    c.register(ViewDef("right", "analytics", Seq("dep"),
+    c.register(ViewDef("right", Seq("dep"),
       (_, _, d) => d("dep").withColumn("side", lit("right"))))
     val rows = kg.select("subject").distinct().count()
     val rep = new Manager(c).materializeAll(spark, kg, reuseShared = true)
@@ -125,7 +143,7 @@ class ViewsSpec extends SparkSpec {
   test("updateAll uses the incremental procedure when registered") {
     val c = new Catalog
     val incCalls = new java.util.concurrent.atomic.AtomicInteger()
-    c.register(ViewDef("v", "analytics", Seq.empty,
+    c.register(ViewDef("v", Seq.empty,
       create = (s, k, d) => k.select(col("subject").as("id")).distinct(),
       update = Some((s, prev, k, d, changed) => { incCalls.incrementAndGet(); prev })))
     val mgr = new Manager(c)

@@ -116,10 +116,10 @@ class StringSimSpec extends AnyFunSuite {
 
   // ---------------------------------------------------------------- qgrams
   test("qgrams pad the string") {
-    assert(qgrams("ab", 3).head == "##a")
+    assert(qgrams("ab").head == "##a")
   }
   test("qgrams of empty are empty") {
-    assert(qgrams("", 3).isEmpty)
+    assert(qgrams("").isEmpty)
   }
   test("qgramJaccard tolerates a single typo better than disjoint strings") {
     val typo = qgramJaccard("hanover", "hanovar")
