@@ -2,7 +2,7 @@ package repro
 
 import scala.util.Random
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types._
+import repro.ingest.Export
 
 /** Synthetic multi-source knowledge universe.
   *
@@ -549,23 +549,13 @@ object SynthKG {
 
   // ---------------------------------------------------- DataFrame adapters
 
-  /** Aligned source records as an entity-centric DataFrame (one row per
-    * entity, columns = ontology predicates) — the contract between source
-    * ingestion and knowledge construction.
+  /** Aligned source records as entity-centric rows ([[Export.RowSchema]]),
+    * the rows the ingestion platform's delta and export stages consume.
     */
   def recordsToRows(spark: SparkSession, recs: Seq[SourceRecord]): DataFrame = {
-    val schema = StructType(Seq(
-      StructField("id", StringType), StructField("source", StringType),
-      StructField("trust", DoubleType), StructField("etype", StringType),
-      StructField("name", StringType),
-      StructField("attrs", MapType(StringType, StringType)),
-      StructField("refNames", MapType(StringType, StringType)),
-      StructField("compositePred", StringType),
-      StructField("composites", ArrayType(MapType(StringType, StringType))),
-      StructField("volatile", MapType(StringType, StringType)),
-    ))
     val rows = recs.map(r => Row(r.id, r.source, r.trust, r.etype, r.name,
       r.attrs, r.refNames, r.compositePred.orNull, r.composites, r.volatile))
-    spark.createDataFrame(spark.sparkContext.parallelize(rows, math.max(1, rows.size / 2000 + 1)), schema)
+    spark.createDataFrame(
+      spark.sparkContext.parallelize(rows, math.max(1, rows.size / 2000 + 1)), Export.RowSchema)
   }
 }

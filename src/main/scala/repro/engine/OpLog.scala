@@ -84,7 +84,11 @@ object OpLog {
     def drain(): Unit = agents.foreach(catchUp)
 
     /** Drain only the named store (e.g. prototyping a new engine). */
-    def drain(store: String): Unit = agents.filter(_.storeName == store).foreach(catchUp)
+    def drain(store: String): Unit = {
+      val agent = agents.find(_.storeName == store)
+      require(agent.isDefined, s"no orchestration agent for store $store")
+      catchUp(agent.get)
+    }
 
     /** Replay the operations after the agent's recorded LSN, in order. */
     private def catchUp(a: OrchestrationAgent): Unit =

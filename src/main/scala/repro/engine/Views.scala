@@ -48,6 +48,7 @@ object Views {
     }
 
     def drop(name: String): Unit = {
+      require(defs.contains(name), s"view $name is not registered")
       val dependents = defs.values.filter(_.deps.contains(name)).map(_.name)
       require(dependents.isEmpty, s"cannot drop $name; consumed by $dependents")
       defs.remove(name)

@@ -2,7 +2,9 @@ package repro.exp
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.SynthKG
+import repro.construct.Construction
 import repro.core.Schema
+import repro.ingest.IngestPipeline
 import repro.ml.StringSim
 
 /** Shared builders for the evaluation experiments: a "direct" KG
@@ -56,31 +58,18 @@ object KgBuilders {
   def encoderFor(u: SynthKG.Universe): StringSim.LearnedEncoder =
     StringSim.trainEncoder(u.entities.map(_.allNames).filter(_.size > 1))
 
-  /** Build one construction payload for a source at an epoch, using the
-    * ingestion platform's delta computation (bootstrap at epoch 0 /
-    * onboarding epoch). `prev` carries both the epoch and the config the
-    * source was last consumed with — the config can change between runs
-    * (e.g. a pipeline upgraded to richer predicate coverage), which
-    * surfaces as Updated deltas.
+  /** Build one construction payload for a source at an epoch: its
+    * records' rows through the ingestion platform's delta-and-export tail
+    * ([[IngestPipeline.payload]]; bootstrap when `prev` is None). `prev`
+    * carries both the epoch and the config the source was last consumed
+    * with — the config can change between runs (e.g. a pipeline upgraded
+    * to richer predicate coverage), which surfaces as Updated deltas.
     */
   def payloadFor(spark: SparkSession, u: SynthKG.Universe, src: SynthKG.SourceConfig,
                  epoch: Int, prev: Option[(SynthKG.SourceConfig, Int)],
-                 maxEpoch: Int = 8): repro.construct.Construction.SourcePayload = {
-    import repro.ingest.{Delta, Export}
-    val cur = SynthKG.recordsToRows(spark, SynthKG.sourceRecords(u, src, epoch, maxEpoch))
-    val delta = prev match {
-      case Some((prevSrc, pe)) =>
-        val prevRows = SynthKG.recordsToRows(spark, SynthKG.sourceRecords(u, prevSrc, pe, maxEpoch))
-        Delta.compute(prevRows, cur, Set("volatile"))
-      case None => Delta.bootstrap(cur, Set("volatile"))
-    }
-    repro.construct.Construction.SourcePayload(
-      source = src.name,
-      added = Export.stableTriples(delta.added),
-      deleted = Export.stableTriples(delta.deleted),
-      updated = Export.stableTriples(delta.updated),
-      volatileDump = Export.volatileTriples(
-        delta.volatileDump.join(cur.drop("volatile"), Seq("id"))),
-    )
+                 maxEpoch: Int = 8): Construction.SourcePayload = {
+    def rows(s: SynthKG.SourceConfig, e: Int) =
+      SynthKG.recordsToRows(spark, SynthKG.sourceRecords(u, s, e, maxEpoch))
+    IngestPipeline.payload(src.name, prev.map { case (s, e) => rows(s, e) }, rows(src, epoch))
   }
 }

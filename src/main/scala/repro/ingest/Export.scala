@@ -1,7 +1,8 @@
 package repro.ingest
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
 import repro.core.{Ontology, Schema}
 
 /** Export stage (§2.2): generate extended triples in the KG-ontology
@@ -12,14 +13,29 @@ import repro.core.{Ontology, Schema}
   */
 object Export {
 
+  /** The entity-centric row contract between a source's alignment and
+    * its delta and export stages: one row per source entity, its id in
+    * the source namespace, its stable predicates as the name, `attrs`,
+    * `refNames` and composite relationship nodes, and its volatile
+    * predicates in the `volatile` map.
+    */
+  val RowSchema: StructType = {
+    val pairs = MapType(StringType, StringType)
+    StructType(Seq(
+      StructField("id", StringType), StructField("source", StringType),
+      StructField("trust", DoubleType), StructField("etype", StringType),
+      StructField("name", StringType), StructField("attrs", pairs),
+      StructField("refNames", pairs), StructField("compositePred", StringType),
+      StructField("composites", ArrayType(pairs)), StructField("volatile", pairs)))
+  }
+
   private def finish(df: DataFrame): DataFrame =
     Schema.canonicalize(
       df.withColumn(Schema.Locale, coalesce(col(Schema.Locale), lit("en")))
         .filter(col(Schema.Obj).isNotNull && trim(col(Schema.Obj)) =!= ""))
 
-  /** Entity-centric rows (the `SynthKG.recordsToRows` contract: id, source,
-    * trust, etype, name, attrs, refNames, compositePred, composites,
-    * volatile) → *stable* extended triples in the source namespace.
+  /** Entity-centric rows ([[RowSchema]]) → *stable* extended triples in
+    * the source namespace.
     */
   def stableTriples(rows: DataFrame): DataFrame = {
     val simple = rows.select(
@@ -71,42 +87,4 @@ object Export {
         col(Schema.Obj), lit("en").as(Schema.Locale),
         array(col("source")).as(Schema.Sources), array(col("trust")).as(Schema.Trust),
         col("trust").as(Schema.Conf)))
-
-  /** Wide (one column per predicate) aligned rows — the output of
-    * [[Alignment.align]] — melted into extended triples. Used by custom
-    * ingestion pipelines built from raw artifacts.
-    *
-    * @param volatilePreds predicate columns routed to the volatile dump
-    */
-  def fromWide(aligned: DataFrame, sourceName: String, trust: Double,
-               volatilePreds: Set[String] = Set.empty): (DataFrame, DataFrame) = {
-    val predCols = aligned.columns.filterNot(c => c == "id" || c == "etype")
-    def melt(preds: Seq[String]): DataFrame = if (preds.isEmpty) {
-      Schema.emptyTriples(aligned.sparkSession)
-    } else {
-      val pairs: Seq[Column] = preds.map(p =>
-        struct(lit(p).as("predicate"), col(p).cast("string").as("obj")))
-      finish(aligned.select(
-        col("id").as(Schema.Subject),
-        explode(array(pairs: _*)).as("pv"),
-        col("etype"))
-        .select(
-          col(Schema.Subject), col("pv.predicate").as(Schema.Predicate),
-          lit(null: String).as(Schema.RId), lit(null: String).as(Schema.RPredicate),
-          col("pv.obj").as(Schema.Obj), lit("en").as(Schema.Locale),
-          array(lit(sourceName)).as(Schema.Sources), array(lit(trust)).as(Schema.Trust),
-          lit(trust).as(Schema.Conf)))
-    }
-    val stablePreds = predCols.filterNot(volatilePreds.contains).toSeq
-    val typeTriples = finish(aligned.select(
-      col("id").as(Schema.Subject), lit(Ontology.TypePred).as(Schema.Predicate),
-      lit(null: String).as(Schema.RId), lit(null: String).as(Schema.RPredicate),
-      col("etype").as(Schema.Obj), lit("en").as(Schema.Locale),
-      array(lit(sourceName)).as(Schema.Sources), array(lit(trust)).as(Schema.Trust),
-      lit(trust).as(Schema.Conf)))
-    val stable = melt(stablePreds).unionByName(typeTriples)
-    val volat = if (volatilePreds.isEmpty) stable.limit(0)
-                else melt(predCols.filter(volatilePreds.contains).toSeq)
-    (stable, volat)
-  }
 }

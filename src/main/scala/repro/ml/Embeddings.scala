@@ -65,17 +65,8 @@ object Embeddings {
 
     def score(s: String, p: String, o: String): Double = {
       val (es, rp, eo) = (entity.get(s), relation.get(p), entity.get(o))
-      if (es.isEmpty || rp.isEmpty || eo.isEmpty) return Double.NegativeInfinity
-      kind match {
-        case TransE =>
-          var d = 0.0; var i = 0
-          while (i < es.get.length) { val x = es.get(i) + rp.get(i) - eo.get(i); d += x * x; i += 1 }
-          -math.sqrt(d)
-        case DistMult =>
-          var d = 0.0; var i = 0
-          while (i < es.get.length) { d += es.get(i) * rp.get(i) * eo.get(i); i += 1 }
-          d
-      }
+      if (es.isEmpty || rp.isEmpty || eo.isEmpty) Double.NegativeInfinity
+      else Embeddings.score(kind, es.get, rp.get, eo.get)
     }
 
     /** f(θ_s, θ_p): the query vector whose nearest entity neighbours are
@@ -86,6 +77,21 @@ object Embeddings {
         case TransE   => es.zip(rp).map { case (a, b) => a + b }
         case DistMult => es.zip(rp).map { case (a, b) => a * b }
       }
+  }
+
+  /** Higher-is-more-plausible score of (s, p, o) vectors: TransE's negated
+    * distance ‖s + p − o‖, DistMult's trilinear product ⟨s, p, o⟩.
+    */
+  private def score(kind: Kind, s: Array[Double], p: Array[Double], o: Array[Double]): Double = {
+    var d = 0.0; var i = 0
+    kind match {
+      case TransE =>
+        while (i < s.length) { val x = s(i) + p(i) - o(i); d += x * x; i += 1 }
+        -math.sqrt(d)
+      case DistMult =>
+        while (i < s.length) { d += s(i) * p(i) * o(i); i += 1 }
+        d
+    }
   }
 
   private def randVec(rnd: Random): Array[Double] =
@@ -104,16 +110,7 @@ object Embeddings {
     val rV = rels.map(_ => randVec(rnd))
     val rIdx = rels.zipWithIndex.toMap
 
-    def sc(s: Int, p: Int, o: Int): Double = kind match {
-      case TransE =>
-        var d = 0.0; var i = 0
-        while (i < Dim) { val x = eV(s)(i) + rV(p)(i) - eV(o)(i); d += x * x; i += 1 }
-        -math.sqrt(math.max(d, 1e-12))
-      case DistMult =>
-        var d = 0.0; var i = 0
-        while (i < Dim) { d += eV(s)(i) * rV(p)(i) * eV(o)(i); i += 1 }
-        d
-    }
+    def sc(s: Int, p: Int, o: Int): Double = score(kind, eV(s), rV(p), eV(o))
 
     // Gradient step pushing score(pos) above score(neg) by the margin.
     def step(s: Int, p: Int, oPos: Int, oNeg: Int): Unit = {

@@ -97,6 +97,15 @@ class OpLogSpec extends AnyFunSuite {
     assert(orch2.freshness == 3)
   }
 
+  test("draining an unregistered store is an error") {
+    val log = new Log; val meta = new MetadataStore
+    log.append("k", "p1")
+    val e = intercept[IllegalArgumentException] {
+      new Orchestrator(log, meta, Seq(new RecordingAgent("a"))).drain("ghost")
+    }
+    assert(e.getMessage.contains("ghost"))
+  }
+
   test("agents with duplicate names are rejected") {
     val log = new Log; val meta = new MetadataStore
     intercept[IllegalArgumentException] {

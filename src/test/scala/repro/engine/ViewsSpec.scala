@@ -42,6 +42,12 @@ class ViewsSpec extends SparkSpec {
     c.drop("base") // now fine
   }
 
+  test("catalog refuses to drop an unregistered view") {
+    val c = new Catalog
+    val e = intercept[IllegalArgumentException] { c.drop("ghost") }
+    assert(e.getMessage.contains("ghost"))
+  }
+
   test("catalog order puts dependencies before consumers") {
     val c = new Catalog
     val n = new java.util.concurrent.atomic.AtomicInteger()

@@ -13,15 +13,15 @@ class DeltaSpec extends SparkSpec {
     ("e1", "Alpha", "10", "0.5"),
     ("e2", "Beta", "20", "0.6"),
     ("e3", "Gamma", "30", "0.7"),
-  ).toDF("id", "name", "size", "pop")
+  ).toDF("id", "name", "size", "volatile")
 
   private def cur() = Seq(
     ("e1", "Alpha", "10", "0.9"),   // only volatile changed → NOT updated
     ("e2", "Beta2", "20", "0.6"),   // stable change → updated
     ("e4", "Delta", "40", "0.1"),   // new → added
-  ).toDF("id", "name", "size", "pop")
+  ).toDF("id", "name", "size", "volatile")
 
-  private def delta() = Delta.compute(prev(), cur(), Set("pop"))
+  private def delta() = Delta.compute(prev(), cur())
 
   test("added contains entities present only at t_n") {
     assert(delta().added.select("id").as[String].collect().toSet == Set("e4"))
@@ -44,7 +44,7 @@ class DeltaSpec extends SparkSpec {
   test("volatile dump covers all current entities") {
     val v = delta().volatileDump
     assert(v.select("id").as[String].collect().toSet == Set("e1", "e2", "e4"))
-    assert(v.columns.toSet == Set("id", "pop"))
+    assert(v.columns.toSet == Set("id", "volatile"))
   }
 
   test("partitions are disjoint and cover exactly the symmetric difference + changes") {
@@ -56,25 +56,25 @@ class DeltaSpec extends SparkSpec {
   }
 
   test("identical snapshots produce empty deltas") {
-    val d = Delta.compute(prev(), prev(), Set("pop"))
+    val d = Delta.compute(prev(), prev())
     assert(d.counts() == ((0L, 0L, 0L)))
   }
 
   test("bootstrap is a full Added payload with empty Deleted/Updated (§2.4)") {
-    val d = Delta.bootstrap(cur(), Set("pop"))
+    val d = Delta.bootstrap(cur())
     assert(d.added.count() == 3 && d.deleted.count() == 0 && d.updated.count() == 0)
     assert(d.volatileDump.count() == 3)
   }
 
   test("schema mismatch between snapshots is rejected") {
     intercept[IllegalArgumentException] {
-      Delta.compute(prev().drop("pop"), cur(), Set("pop"))
+      Delta.compute(prev().drop("volatile"), cur())
     }
   }
 
   test("stable hash ignores column order") {
-    val reordered = cur().select("pop", "size", "name", "id")
-    val d = Delta.compute(cur(), reordered, Set("pop"))
+    val reordered = cur().select("volatile", "size", "name", "id")
+    val d = Delta.compute(cur(), reordered)
     assert(d.counts() == ((0L, 0L, 0L)))
   }
 
@@ -104,7 +104,7 @@ class DeltaSpec extends SparkSpec {
     val p = Seq(("e1", Map("a" -> "1"), Map("pop" -> "0.5"))).toDF("id", "attrs", "volatile")
     val c1 = Seq(("e1", Map("a" -> "2"), Map("pop" -> "0.5"))).toDF("id", "attrs", "volatile")
     val c2 = Seq(("e1", Map("a" -> "1"), Map("pop" -> "0.9"))).toDF("id", "attrs", "volatile")
-    assert(Delta.compute(p, c1, Set("volatile")).updated.count() == 1)
-    assert(Delta.compute(p, c2, Set("volatile")).updated.count() == 0)
+    assert(Delta.compute(p, c1).updated.count() == 1)
+    assert(Delta.compute(p, c2).updated.count() == 0)
   }
 }

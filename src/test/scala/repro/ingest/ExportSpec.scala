@@ -62,28 +62,4 @@ class ExportSpec extends SparkSpec {
   test("volatile facts are excluded from the stable export") {
     assert(stable.filter(col(Schema.Predicate) === "popularity").count() == 0)
   }
-
-  test("fromWide melts aligned rows and adds type triples") {
-    val aligned = Seq(("m1", "movie", "The X", "drama"))
-      .toDF("id", "etype", "name", "genre")
-    val (st, vo) = Export.fromWide(aligned, "moviedb", 0.8)
-    val preds = st.select(Schema.Predicate).as[String].collect().toSet
-    assert(preds == Set("name", "genre", "type"))
-    assert(vo.count() == 0)
-  }
-
-  test("fromWide routes volatile predicates to the volatile dump") {
-    val aligned = Seq(("m1", "movie", "The X", "0.7"))
-      .toDF("id", "etype", "name", "popularity")
-    val (st, vo) = Export.fromWide(aligned, "moviedb", 0.8, Set("popularity"))
-    assert(st.filter(col(Schema.Predicate) === "popularity").count() == 0)
-    assert(vo.count() == 1)
-  }
-
-  test("fromWide drops null-valued predicates") {
-    val aligned = Seq(("m1", "movie", "The X", null: String))
-      .toDF("id", "etype", "name", "genre")
-    val (st, _) = Export.fromWide(aligned, "moviedb", 0.8)
-    assert(st.filter(col(Schema.Predicate) === "genre").count() == 0)
-  }
 }

@@ -1,9 +1,11 @@
 package repro.ingest
 
 import java.nio.file.Files
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
-import repro.core.Schema
+import repro.construct.{Construction, Matching}
+import repro.core.{Ontology, Schema}
 
 /** The full self-serve ingestion pipeline (§2.2, Figure 3): Import →
   * Transform → Align → Delta → Export, built from the platform templates.
@@ -29,10 +31,12 @@ class IngestPipelineSpec extends SparkSpec {
   private def ratings() = Seq(("m1", "PG"), ("m2", "R"), ("m3", "PG"), ("m4", "PG"))
     .toDF("movie_id", "rating")
 
-  private def pipeline(version: Int) = IngestPipeline(
-    sourceName = "moviedb", trust = 0.8,
+  private def pipeline(version: Int): IngestPipeline = pipeline("moviedb", rawMovies(version))
+
+  private def pipeline(source: String, movies: DataFrame): IngestPipeline = IngestPipeline(
+    sourceName = source, trust = 0.8,
     importers = Seq(
-      InMemoryImporter("movies", rawMovies(version)),
+      InMemoryImporter("movies", movies),
       InMemoryImporter("ratings", ratings())),
     primaryArtifact = "movies",
     idColumn = "movie_id",
@@ -50,48 +54,57 @@ class IngestPipelineSpec extends SparkSpec {
   test("bootstrap run: everything is Added, nothing Deleted/Updated") {
     val out = pipeline(0).run(spark, None)
     assert(out.violations.isEmpty)
-    assert(out.added.select(Schema.Subject).distinct().count() == 3)
-    assert(out.deleted.count() == 0 && out.updated.count() == 0)
+    assert(out.payload.added.select(Schema.Subject).distinct().count() == 3)
+    assert(out.payload.deleted.count() == 0 && out.payload.updated.count() == 0)
   }
 
   test("export is in the KG ontology namespace with source-namespace subjects") {
     val out = pipeline(0).run(spark, None)
-    val preds = out.added.select(Schema.Predicate).as[String].collect().toSet
-    assert(preds.contains("genre") && !preds.contains("category"))
-    val subs = out.added.select(Schema.Subject).as[String].collect().toSet
-    assert(subs == Set("m1", "m2", "m3"))
+    val preds = out.payload.added.select(Schema.Predicate).as[String].collect().toSet
+    assert(preds == Set("type", "name", "genre", "release_year", "rating", "full_title"))
+    val subs = out.payload.added.select(Schema.Subject).as[String].collect().toSet
+    assert(subs == Set("moviedb:m1", "moviedb:m2", "moviedb:m3"))
+  }
+
+  test("a null aligned value yields no triple") { // m5 has no category and no rating
+    val movies = rawMovies(0).union(
+      Seq(("m5", "Quiet Orchard", null, null, "2010", "5.0")).toDF(rawMovies(0).columns.toSeq: _*))
+    val m5 = pipeline("moviedb", movies).run(spark, None).payload.added
+      .filter(col(Schema.Subject) === "moviedb:m5")
+    assert(m5.select(Schema.Predicate).as[String].collect().toSet ==
+      Set("type", "name", "release_year", "full_title"))
   }
 
   test("secondary artifact columns are joined into the entity view") {
     val out = pipeline(0).run(spark, None)
-    val rating = out.added.filter(col(Schema.Predicate) === "rating" &&
-                                  col(Schema.Subject) === "m2")
+    val rating = out.payload.added.filter(col(Schema.Predicate) === "rating" &&
+                                  col(Schema.Subject) === "moviedb:m2")
     assert(rating.head().getAs[String](Schema.Obj) == "R")
   }
 
   test("volatile predicates land in the volatile dump, not the stable export") {
     val out = pipeline(0).run(spark, None)
-    assert(out.added.filter(col(Schema.Predicate) === "box_office").count() == 0)
-    assert(out.volatileDump.filter(col(Schema.Predicate) === "box_office").count() == 3)
+    assert(out.payload.added.filter(col(Schema.Predicate) === "box_office").count() == 0)
+    assert(out.payload.volatileDump.filter(col(Schema.Predicate) === "box_office").count() == 3)
   }
 
   test("second run against the snapshot computes correct deltas") {
     val run0 = pipeline(0).run(spark, None)
     val run1 = pipeline(1).run(spark, Some(run0.snapshot))
-    val added = run1.added.select(Schema.Subject).as[String].collect().toSet
-    val deleted = run1.deleted.select(Schema.Subject).as[String].collect().toSet
-    val updated = run1.updated.select(Schema.Subject).as[String].collect().toSet
-    assert(added == Set("m4"))
-    assert(deleted == Set("m3"))
-    assert(updated == Set("m2"))
+    val added = run1.payload.added.select(Schema.Subject).as[String].collect().toSet
+    val deleted = run1.payload.deleted.select(Schema.Subject).as[String].collect().toSet
+    val updated = run1.payload.updated.select(Schema.Subject).as[String].collect().toSet
+    assert(added == Set("moviedb:m4"))
+    assert(deleted == Set("moviedb:m3"))
+    assert(updated == Set("moviedb:m2"))
   }
 
   test("volatile-only change does not produce an update") {
     val run0 = pipeline(0).run(spark, None)
     val run1 = pipeline(1).run(spark, Some(run0.snapshot))
-    assert(!run1.updated.select(Schema.Subject).as[String].collect().contains("m1"))
+    assert(!run1.payload.updated.select(Schema.Subject).as[String].collect().contains("moviedb:m1"))
     // but the new volatile value ships in the dump
-    val m1Vol = run1.volatileDump.filter(col(Schema.Subject) === "m1" &&
+    val m1Vol = run1.payload.volatileDump.filter(col(Schema.Subject) === "moviedb:m1" &&
       col(Schema.Predicate) === "box_office").head().getAs[String](Schema.Obj)
     assert(m1Vol == "8.0")
   }
@@ -103,6 +116,54 @@ class IngestPipelineSpec extends SparkSpec {
       InMemoryImporter("movies", dupes), InMemoryImporter("ratings", ratings())))
     val out = p.run(spark, None)
     assert(out.violations.exists(_.check == "unique-ids"))
+  }
+
+  test("a row with a null or blank id is reported and never reaches the payload") {
+    val movies = rawMovies(0).union(Seq(
+      (null: String, "Nameless", null, "drama", "2000", "1.0"),
+      ("  ", "Blank", null, "drama", "2000", "1.0"),
+    ).toDF(rawMovies(0).columns.toSeq: _*))
+    val out = pipeline("moviedb", movies).run(spark, None)
+    assert(out.violations.exists(_.check == "id-predicate"))
+    val p = out.payload
+    val subs = Seq(p.added, p.volatileDump).map(_.select(Schema.Subject).as[String].collect().toSet)
+    assert(subs.forall(_ == Set("moviedb:m1", "moviedb:m2", "moviedb:m3")))
+  }
+
+  test("a joined artifact that no importer produces is a clear config error") {
+    val e = intercept[IllegalArgumentException] {
+      pipeline(0).copy(joins = Seq(("reviews", Seq("stars"))))
+    }
+    assert(e.getMessage.contains("reviews"))
+  }
+
+  test("two importers of the same artifact are a clear config error") {
+    val e = intercept[IllegalArgumentException] {
+      pipeline(0).copy(importers = Seq(InMemoryImporter("movies", rawMovies(0)),
+        InMemoryImporter("movies", rawMovies(1)), InMemoryImporter("ratings", ratings())))
+    }
+    assert(e.getMessage.contains("movies"))
+  }
+
+  test("sources with overlapping raw ids stay apart through construction") {
+    val films = Seq(
+      ("m1", "Northern Lantern", null, "documentary", "2011", "5.5"),
+      ("m2", "Copper Tide", "3", "western", "1987", "6.1"),
+    ).toDF(rawMovies(0).columns.toSeq: _*)
+    val payloads = Seq(pipeline(0), pipeline("filmdb", films)).map(_.run(spark, None).payload)
+    val kg = payloads.foldLeft(Construction.KGState.empty(spark)) { (st, p) =>
+      Construction.consume(st, p, Matching.defaultModel(None))._1
+    }
+    val links = kg.links.as[(String, String)].collect().toSeq
+    assert(links.map(_._1).sorted ==
+      Seq("filmdb:m1", "filmdb:m2", "moviedb:m1", "moviedb:m2", "moviedb:m3"))
+    assert(links.map(_._2).distinct.size == links.size, s"movies share a KG entity: $links")
+    val names = kg.stable.filter(col(Schema.Predicate) === Ontology.NamePred)
+      .groupBy(Schema.Subject).agg(countDistinct(Schema.Obj).as("n")).as[(String, Long)].collect()
+    assert(names.length == links.size && names.forall(_._2 == 1))
+    val sameAs = kg.stable.filter(col(Schema.Predicate) === Ontology.SameAs)
+      .select(Schema.Obj, Schema.Sources).as[(String, Seq[String])].collect().toMap
+    assert(sameAs == links.map { case (src, _) => src -> Seq(src.takeWhile(_ != ':')) }.toMap)
   }
 
   test("CSV importer template reads header files") {
