@@ -1,5 +1,6 @@
 package repro.ingest
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{SparkSpec, SynthKG}
 import repro.core.Schema
@@ -61,5 +62,36 @@ class ExportSpec extends SparkSpec {
 
   test("volatile facts are excluded from the stable export") {
     assert(stable.filter(col(Schema.Predicate) === "popularity").count() == 0)
+  }
+
+  /** Aligned wide rows of one movie source through the platform's
+    * align → rows → export path: each `pgfs` target becomes a predicate.
+    */
+  private def fromWide(wide: DataFrame, pgfs: Seq[Alignment.Pgf],
+                       volatilePreds: Set[String] = Set.empty) =
+    IngestPipeline(
+      sourceName = "moviedb", trust = 0.8,
+      importers = Seq(InMemoryImporter("movies", wide)),
+      primaryArtifact = "movies", idColumn = "movie_id", joins = Nil,
+      alignment = Alignment.Config("movie", "movie_id", pgfs),
+      volatilePreds = volatilePreds,
+    ).run(spark, None).payload
+
+  test("fromWide melts aligned rows and adds type triples") {
+    val wide = Seq(("m1", "The X", "drama")).toDF("movie_id", "title", "genre")
+    val out = fromWide(wide, Seq(Alignment.Rename("title", "name"),
+                                 Alignment.Rename("genre", "genre")))
+    val preds = out.added.select(Schema.Predicate).as[String].collect().toSet
+    assert(preds == Set("name", "genre", "type"))
+    assert(out.volatileDump.count() == 0)
+  }
+
+  test("fromWide routes volatile predicates to the volatile dump") {
+    val wide = Seq(("m1", "The X", "0.7")).toDF("movie_id", "title", "box_office")
+    val out = fromWide(wide, Seq(Alignment.Rename("title", "name"),
+                                 Alignment.Rename("box_office", "box_office")),
+                       volatilePreds = Set("box_office"))
+    assert(out.added.filter(col(Schema.Predicate) === "box_office").count() == 0)
+    assert(out.volatileDump.count() == 1)
   }
 }
